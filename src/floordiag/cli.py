@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from importlib import resources
 from typing import Dict, List, Optional
@@ -49,7 +48,7 @@ def cmd_invariant(args) -> int:
             % (args.genus, stats.interior),
             file=sys.stderr,
         )
-    value = inv.refined_invariant(polygon, args.genus, jobs=args.jobs)
+    value = inv.refined_invariant(polygon, args.genus)
     _print_poly(value, args.format)
     return 0
 
@@ -57,7 +56,7 @@ def cmd_invariant(args) -> int:
 def cmd_descendant(args) -> int:
     polygon = parse_polygon(args.polygon)
     pairing = parse_pairing(args.pairing) if args.pairing else None
-    value = inv.refined_descendant(polygon, args.s, pairing=pairing, jobs=args.jobs)
+    value = inv.refined_descendant(polygon, args.s, pairing=pairing)
     _print_poly(value, args.format)
     return 0
 
@@ -352,14 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_jobs = os.cpu_count() or 1
-
     p = sub.add_parser("invariant", help="compute G_Delta(g)")
     p.add_argument("--polygon", required=True, help="abn:a,b,n or ht:dl=[..];dr=[..];db=N;dt=M")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--jobs", type=int, default=default_jobs,
-                   help="enumeration workers (default: logical cores)")
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("descendant", help="compute G_Delta(0;s)")
@@ -367,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--pairing", help="pairs:1-2,3-4 (defaults to the consecutive pairing)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--jobs", type=int, default=default_jobs,
-                   help="enumeration workers (default: logical cores)")
     p.set_defaults(func=cmd_descendant)
 
     p = sub.add_parser("coeffs", help="closed-form codegree coefficients on a grid")

@@ -8,15 +8,17 @@ forms.  Sources and sinks all have weight 1 and are stored as per-floor
 counts.
 
 Enumeration walks the floors bottom to top, tracking the multiset of open
-elevators.  The key accounting identity, with iota the interior lattice
-count and E0 the internal elevator set:
+elevators; one sweep serves labelled diagrams and diagram shapes (heavy
+short elevators left free).  The key accounting identity, with iota the
+interior lattice count and E0 the internal elevator set:
 
     codeg(D) = iota + a - 1 - sum(F_gap)  +  sum((span(e) - 1) * w(e))
 
 where F_gap is the total weight crossing a gap (forced by the divergence
 constraints once sources and sinks are distributed).  The first part
 depends only on the source/sink distribution, the second only on elevator
-spans, which makes both sides cheap to bound during the search.
+spans, which makes both sides cheap to bound during the search.  A search
+without a codegree limit is bounded by iota - genus, since deg >= 0.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ class FloorDiagram:
     def key(self) -> Tuple:
         return (self.floors, self.elevators)
 
-    def is_layered(self) -> bool:
-        """True when the floors are totally ordered by oriented reachability."""
+    def reachability(self) -> List[List[bool]]:
+        """reach[i][j]: floor j lies above floor i along oriented elevators."""
         a = self.n_floors
         reach = [[False] * a for _ in range(a)]
         for i, j, _ in self.elevators:
@@ -77,7 +79,12 @@ class FloorDiagram:
                     for j in range(a):
                         if reach[k][j]:
                             reach[i][j] = True
-        return all(reach[i][i + 1] for i in range(a - 1))
+        return reach
+
+    def is_layered(self) -> bool:
+        """True when the floors are totally ordered by oriented reachability."""
+        reach = self.reachability()
+        return all(reach[i][i + 1] for i in range(self.n_floors - 1))
 
     def to_json(self) -> Dict:
         return {
@@ -104,10 +111,6 @@ def mult(diagram: FloorDiagram) -> LaurentPoly:
         for _, _, w in diagram.elevators
         if w > 1
     )
-
-
-def degree(diagram: FloorDiagram) -> int:
-    return diagram.degree()
 
 
 def codegree(diagram: FloorDiagram) -> int:
@@ -242,15 +245,6 @@ def automorphism_count(diagram: FloorDiagram) -> int:
     return count
 
 
-def marking_symmetry_order(diagram: FloorDiagram) -> int:
-    """Order of the full automorphism action on markings: floors, parallel
-    elevators of equal weight, and same-floor sources/sinks."""
-    count = automorphism_count(diagram)
-    for _, _, s, t in diagram.floors:
-        count *= factorial(s) * factorial(t)
-    return count
-
-
 # -- enumeration ------------------------------------------------------------
 
 
@@ -278,14 +272,21 @@ def _distinct_permutations(values: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     yield from rec()
 
 
-def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    """Nondecreasing tuples of `parts` positive integers summing to `total`."""
+def compositions(
+    total: int, parts: int, hi: Optional[int] = None
+) -> Iterator[Tuple[int, ...]]:
+    """Nondecreasing tuples of `parts` positive integers, none above `hi`,
+    summing to `total`."""
+    if hi is None:
+        hi = total
     if parts == 0:
         if total == 0:
             yield ()
         return
 
     def rec(rest, k, lo):
+        if rest > k * hi:
+            return
         if k == 1:
             if rest >= lo:
                 yield (rest,)
@@ -313,92 +314,36 @@ def _sub_multisets(items: Sequence[Tuple[int, int]]) -> Iterator[Tuple[Tuple[int
     yield from rec(0)
 
 
-def _enumerate_for_distribution(
-    polygon: HTransversePolygon,
-    genus: int,
-    ls: Tuple[int, ...],
-    rs: Tuple[int, ...],
-    sources: Tuple[int, ...],
-    sinks: Tuple[int, ...],
-    iota: int,
-    max_codeg: Optional[int],
-) -> List[FloorDiagram]:
-    """All diagrams with the given labels and source/sink placement."""
-    a = polygon.height
-    divs = [r - l for l, r in zip(ls, rs)]
-    flows = []
-    run = 0
-    for j in range(a - 1):
-        run += sources[j] - sinks[j] - divs[j]
-        if run < 1:
-            return []
-        flows.append(run)
-    codeg_base = iota + a - 1 - sum(flows)
-    if max_codeg is not None and codeg_base > max_codeg:
-        return []
-    target_edges = a - 1 + genus
-    found: List[FloorDiagram] = []
+def _openings(
+    total: int, cap: int, free_above: Optional[int]
+) -> Iterator[Tuple[Tuple[int, ...], int, int, int]]:
+    """Ways to open at most `cap` elevators carrying `total` > 0 out of a floor.
 
-    def rec(j, open_edges, edges, span_cost):
-        # open_edges: sorted tuple of (origin, weight) currently crossing gap j-1
-        for closed in _sub_multisets(open_edges):
-            in_w = sum(w for _, w in closed)
-            out_total = sources[j] + in_w - sinks[j] - divs[j]
-            still_open = list(open_edges)
-            for e in closed:
-                still_open.remove(e)
-            if j == a - 1:
-                if still_open or out_total != 0 or len(edges) + len(closed) != target_edges:
-                    continue
-                if max_codeg is not None and codeg_base + span_cost > max_codeg:
-                    continue
-                diagram = FloorDiagram(
-                    tuple(zip(ls, rs, sources, sinks)),
-                    tuple(edges + [(o, j, w) for o, w in closed]),
-                )
-                if _connected(diagram):
-                    found.append(diagram)
-                continue
-            if out_total < 0:
-                continue
-            cost = span_cost + sum(w for _, w in still_open)
-            if max_codeg is not None and codeg_base + cost > max_codeg:
-                continue
-            new_edges = edges + [(o, j, w) for o, w in closed]
-            budget = target_edges - len(new_edges) - len(still_open)
-            if budget < 0:
-                continue
-            if out_total == 0:
-                rec(j + 1, tuple(sorted(still_open)), new_edges, cost)
-                continue
-            # a gap crossed by c elevators forces c-1 units of genus or span
-            # surplus, so c is capped by 1 + genus + total span allowance
-            allow = (
-                max_codeg - codeg_base if max_codeg is not None else iota - genus
-            )
-            max_new = min(out_total, budget, 1 + genus + allow - len(still_open))
-            for k_new in range(1, max_new + 1):
-                for comp in _compositions(out_total, k_new):
-                    opened = tuple(sorted(still_open + [(j, w) for w in comp]))
-                    rec(j + 1, opened, new_edges, cost)
-
-    rec(0, (), [], 0)
-    return found
+    Yields (explicit weights, free slots, free total, assignments).  Weights
+    above `free_above` go to free slots, whose ordered weight assignments are
+    counted rather than listed; free_above=None keeps every weight explicit.
+    """
+    if free_above is None:
+        explicit_totals: Sequence[int] = (total,)
+    else:
+        explicit_totals = range(min(total, free_above * cap) + 1)
+    for explicit in explicit_totals:
+        free = total - explicit
+        if free == 0:
+            frees = [(0, 1)]
+        else:
+            # ordered tuples of k weights > free_above summing to free
+            frees = [
+                (k, comb(free - free_above * k - 1, k - 1))
+                for k in range(1, min(cap, free // (free_above + 1)) + 1)
+            ]
+        for k_free, ways in frees:
+            for k in range(1 if explicit else 0, min(cap - k_free, explicit) + 1):
+                for weights in compositions(explicit, k, free_above):
+                    yield weights, k_free, free, ways
 
 
-def _distributions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for tail in _distributions(total - first, parts - 1):
-            yield (first,) + tail
-
-
-def _source_distributions(
-    total: int, a: int, budget: Optional[int]
-) -> Iterator[Tuple[int, ...]]:
+def _source_distributions(total: int, a: int, budget: int) -> Iterator[Tuple[int, ...]]:
     """Source placements with their displacement loss bounded by `budget`.
 
     A source at floor m reduces the flow sum by m (it stops feeding the
@@ -406,7 +351,7 @@ def _source_distributions(
     built on the placement has codegree at least base0 + loss.
     """
     def rec(j, left, loss):
-        if budget is not None and loss > budget:
+        if loss > budget:
             return
         if j == a - 1:
             yield (left,)
@@ -418,155 +363,10 @@ def _source_distributions(
     yield from rec(0, total, 0)
 
 
-def _sink_distributions(
-    total: int, a: int, budget: Optional[int]
-) -> Iterator[Tuple[int, ...]]:
+def _sink_distributions(total: int, a: int, budget: int) -> Iterator[Tuple[int, ...]]:
     """Sink placements, mirrored: a sink m floors below the top loses m."""
     for rev in _source_distributions(total, a, budget):
         yield tuple(reversed(rev))
-
-
-FREE_WEIGHT = 10 ** 9  # sentinel weight for batched shape enumeration
-
-
-def _enumerate_shapes_for_distribution(
-    polygon: HTransversePolygon,
-    genus: int,
-    ls: Tuple[int, ...],
-    rs: Tuple[int, ...],
-    sources: Tuple[int, ...],
-    sinks: Tuple[int, ...],
-    iota: int,
-    max_codeg: int,
-) -> List[Tuple[FloorDiagram, int, int]]:
-    """Diagram shapes with weights <= max_codeg explicit and heavier short
-    elevators left free, plus the count of ordered free-weight assignments.
-
-    Returns (pseudo_diagram, assignment_count, shape_codegree) triples; the
-    pseudo diagram carries FREE_WEIGHT on the free slots.  Every diagram of
-    codegree <= max_codeg with this distribution belongs to exactly one
-    shape: elevators of weight > max_codeg are forced short (a longer span
-    would already cost more than max_codeg), so freeing only short slots
-    loses nothing.
-    """
-    a = polygon.height
-    i = max_codeg
-    divs = [r - l for l, r in zip(ls, rs)]
-    flows = []
-    run = 0
-    for j in range(a - 1):
-        run += sources[j] - sinks[j] - divs[j]
-        if run < 1:
-            return []
-        flows.append(run)
-    codeg_base = iota + a - 1 - sum(flows)
-    if codeg_base > i:
-        return []
-    target_edges = a - 1 + genus
-    found: List[Tuple[FloorDiagram, int, int]] = []
-
-    def small_multisets(limit_total):
-        # multisets of explicit weights in 1..i with bounded total
-        def rec_sm(lo, left):
-            yield ()
-            for w in range(lo, min(i, left) + 1):
-                for tail in rec_sm(w, left - w):
-                    yield (w,) + tail
-        yield from rec_sm(1, limit_total)
-
-    def rec(j, open_explicit, free_cnt, free_total, edges, span_cost, assign):
-        in_free = free_total  # free slots always close one floor up
-        for closed in _sub_multisets(open_explicit):
-            in_w = sum(w for _, w in closed) + in_free
-            out_total = sources[j] + in_w - sinks[j] - divs[j]
-            still_open = list(open_explicit)
-            for e in closed:
-                still_open.remove(e)
-            closing = [(o, j, w) for o, w in closed]
-            if free_cnt:
-                closing.extend((j - 1, j, FREE_WEIGHT) for _ in range(free_cnt))
-            if j == a - 1:
-                if still_open or out_total != 0 or len(edges) + len(closing) != target_edges:
-                    continue
-                if codeg_base + span_cost > i:
-                    continue
-                diagram = FloorDiagram(
-                    tuple(zip(ls, rs, sources, sinks)), tuple(edges + closing)
-                )
-                if _connected(diagram):
-                    found.append((diagram, assign, codeg_base + span_cost))
-                continue
-            if out_total < 0:
-                continue
-            cost = span_cost + sum(w for _, w in still_open)
-            if codeg_base + cost > i:
-                continue
-            new_edges = edges + closing
-            budget = target_edges - len(new_edges) - len(still_open)
-            if budget < 0:
-                continue
-            cap = min(budget, 1 + genus + (i - codeg_base) - len(still_open))
-            if out_total == 0:
-                rec(j + 1, tuple(sorted(still_open)), 0, 0, new_edges, cost, assign)
-            for smalls in small_multisets(min(out_total, i * cap)):
-                rest = out_total - sum(smalls)
-                max_free = min(cap - len(smalls), rest // (i + 1))
-                for k_free in range(0, max_free + 1):
-                    if len(smalls) + k_free == 0:
-                        continue  # the empty opening was handled above
-                    if k_free == 0:
-                        if rest != 0:
-                            continue
-                        ways = 1
-                    else:
-                        # ordered tuples of k_free weights > i summing to rest
-                        ways = comb(rest - i * k_free - 1, k_free - 1)
-                        if ways == 0:
-                            continue
-                    opened = tuple(sorted(still_open + [(j, w) for w in smalls]))
-                    rec(
-                        j + 1,
-                        opened,
-                        k_free,
-                        rest,
-                        new_edges,
-                        cost,
-                        assign * ways,
-                    )
-
-    rec(0, (), 0, 0, [], 0, 1)
-    return found
-
-
-def codegree_coefficient_sum(
-    polygon: HTransversePolygon,
-    genus: int,
-    i: int,
-    shape_term,
-) -> int:
-    """Sum shape_term(pseudo_diagram, shape_codegree) times the number of
-    ordered free-weight assignments, over all isomorphism classes of shapes
-    of codegree <= i.  The caller's term must be constant across the free
-    weights of a shape."""
-    ensure_valid(polygon)
-    stats = lattice_stats(polygon)
-    if genus > stats.interior:
-        return 0
-    iota = stats.interior
-    seen: Dict[Tuple, Tuple[FloorDiagram, int, int]] = {}
-    for ls, rs, src in enumeration_tasks(polygon, genus, i):
-        budget = i - _base_codegree(polygon, ls, rs, iota) - _loss(src)
-        if budget < 0:
-            continue
-        for snk in _sink_distributions(polygon.d_t, polygon.height, budget):
-            for diagram, assign, codeg in _enumerate_shapes_for_distribution(
-                polygon, genus, ls, rs, src, snk, iota, i
-            ):
-                seen.setdefault(canonical_key(diagram), (diagram, assign, codeg))
-    total = 0
-    for diagram, assign, codeg in seen.values():
-        total += assign * shape_term(diagram, codeg)
-    return total
 
 
 def _base_codegree(
@@ -582,58 +382,142 @@ def _base_codegree(
     return iota + a - 1 - flow_sum
 
 
-def _loss(distribution: Sequence[int], from_top: bool = False) -> int:
-    seq = tuple(reversed(distribution)) if from_top else distribution
-    return sum(m * c for m, c in enumerate(seq))
+def _loss(distribution: Sequence[int]) -> int:
+    return sum(m * c for m, c in enumerate(distribution))
+
+
+def _search_bound(
+    polygon: HTransversePolygon, genus: int, max_codeg: Optional[int]
+) -> Tuple[int, int]:
+    """(iota, codegree bound of the search).  Every diagram has
+    codeg = iota - genus - deg <= iota - genus, so that bound is exact."""
+    iota = lattice_stats(polygon).interior
+    bound = iota - genus if max_codeg is None else min(max_codeg, iota - genus)
+    return iota, bound
+
+
+Task = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
+
+FREE_WEIGHT = 10 ** 9  # sentinel weight of a free slot in a diagram shape
 
 
 def enumeration_tasks(
     polygon: HTransversePolygon, genus: int, max_codeg: Optional[int] = None
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]]:
-    """Independent work items (l-assignment, r-assignment, source distribution)."""
+) -> List[Task]:
+    """Independent work items (l-labels, r-labels, sources, sinks) whose
+    codegree floor is within the search bound."""
     a = polygon.height
-    iota = lattice_stats(polygon).interior
+    iota, bound = _search_bound(polygon, genus, max_codeg)
     tasks = []
     for ls in _distinct_permutations(polygon.d_l):
         for rs in _distinct_permutations(polygon.d_r):
-            budget = None
-            if max_codeg is not None:
-                budget = max_codeg - _base_codegree(polygon, ls, rs, iota)
-                if budget < 0:
-                    continue
+            budget = bound - _base_codegree(polygon, ls, rs, iota)
             for src in _source_distributions(polygon.d_b, a, budget):
-                tasks.append((ls, rs, src))
+                for snk in _sink_distributions(polygon.d_t, a, budget - _loss(src)):
+                    tasks.append((ls, rs, src, snk))
     return tasks
 
 
 def run_enumeration_task(
     polygon: HTransversePolygon,
     genus: int,
-    task: Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]],
+    task: Task,
+    max_codeg: Optional[int] = None,
+    free_above: Optional[int] = None,
+) -> List[Tuple[FloorDiagram, int, int]]:
+    """Labelled diagrams of one task, as (diagram, assignments, codegree).
+
+    With free_above=None every weight is explicit and assignments is 1.
+    With free_above=i (and max_codeg=i) the diagrams are shapes: elevators
+    heavier than i become free slots of weight FREE_WEIGHT, and assignments
+    counts the ordered weight assignments of the free slots.  Such an
+    elevator is always short (a longer span would already cost more than i),
+    so every diagram of codegree <= i belongs to exactly one shape.
+    """
+    ls, rs, sources, sinks = task
+    iota, bound = _search_bound(polygon, genus, max_codeg)
+    a = polygon.height
+    divs = [r - l for l, r in zip(ls, rs)]
+    flows = list(itertools.accumulate(sources[j] - sinks[j] - divs[j] for j in range(a - 1)))
+    if any(f < 1 for f in flows):
+        return []
+    base = iota + a - 1 - sum(flows)
+    if base > bound:
+        return []
+    floors = tuple(zip(ls, rs, sources, sinks))
+    target_edges = a - 1 + genus
+    found: List[Tuple[FloorDiagram, int, int]] = []
+
+    def rec(j, open_edges, n_free, free_in, edges, span_cost, assign):
+        # open_edges: sorted (origin, weight) pairs crossing gap j-1; the
+        # n_free free slots, carrying free_in in total, all close at floor j
+        free_edges = [(j - 1, j, FREE_WEIGHT)] * n_free
+        if j == a - 1:
+            # every open elevator closes at the top floor
+            in_w = free_in + sum(w for _, w in open_edges)
+            if (sources[j] + in_w - sinks[j] - divs[j] != 0
+                    or len(edges) + len(open_edges) + n_free != target_edges
+                    or base + span_cost > bound):
+                return
+            closing = [(o, j, w) for o, w in open_edges]
+            diagram = FloorDiagram(floors, tuple(edges + closing + free_edges))
+            if _connected(diagram):
+                found.append((diagram, assign, base + span_cost))
+            return
+        for closed in _sub_multisets(open_edges):
+            out_total = sources[j] + free_in + sum(w for _, w in closed) - sinks[j] - divs[j]
+            if out_total < 0:
+                continue
+            still_open = list(open_edges)
+            for e in closed:
+                still_open.remove(e)
+            cost = span_cost + sum(w for _, w in still_open)
+            if base + cost > bound:
+                continue
+            new_edges = edges + [(o, j, w) for o, w in closed] + free_edges
+            room = target_edges - len(new_edges) - len(still_open)
+            if room < 0:
+                continue
+            if out_total == 0:
+                rec(j + 1, tuple(still_open), 0, 0, new_edges, cost, assign)
+                continue
+            # a gap crossed by c elevators forces c-1 units of genus or span
+            # surplus, so c is capped by 1 + genus + the span allowance
+            cap = min(room, 1 + genus + bound - base - len(still_open))
+            if cap < 1:
+                continue
+            for weights, k_free, free_total, ways in _openings(out_total, cap, free_above):
+                opened = tuple(sorted(still_open + [(j, w) for w in weights]))
+                rec(j + 1, opened, k_free, free_total, new_edges, cost, assign * ways)
+
+    rec(0, (), 0, 0, [], 0, 1)
+    return found
+
+
+def _classes(
+    polygon: HTransversePolygon,
+    genus: int,
     max_codeg: Optional[int],
-) -> List[FloorDiagram]:
-    ls, rs, src = task
-    iota = lattice_stats(polygon).interior
-    budget = None
-    if max_codeg is not None:
-        budget = max_codeg - _base_codegree(polygon, ls, rs, iota) - _loss(src)
-        if budget < 0:
-            return []
-    out: List[FloorDiagram] = []
-    for snk in _sink_distributions(polygon.d_t, polygon.height, budget):
-        out.extend(
-            _enumerate_for_distribution(
-                polygon, genus, ls, rs, src, snk, iota, max_codeg
-            )
-        )
-    return out
+    free_above: Optional[int] = None,
+) -> Dict[Tuple, Tuple[FloorDiagram, int, int]]:
+    """Canonical key -> (canonical form, assignments, codegree) over all tasks."""
+    ensure_valid(polygon)
+    if genus < 0:
+        raise ValueError("genus must be nonnegative")
+    classes: Dict[Tuple, Tuple[FloorDiagram, int, int]] = {}
+    if genus > lattice_stats(polygon).interior:
+        return classes
+    for task in enumeration_tasks(polygon, genus, max_codeg):
+        for d, assign, codeg in run_enumeration_task(polygon, genus, task, max_codeg, free_above):
+            c = canonical_form(d)
+            classes.setdefault(c.key(), (c, assign, codeg))
+    return classes
 
 
 def enumerate_floor_diagrams(
     polygon: HTransversePolygon,
     genus: int,
     max_codeg: Optional[int] = None,
-    jobs: int = 1,
 ) -> List[FloorDiagram]:
     """All floor diagrams with the given Newton polygon and genus, one
     canonical representative per isomorphism class, sorted by canonical key.
@@ -641,32 +525,24 @@ def enumerate_floor_diagrams(
     With max_codeg set, only classes of codegree <= max_codeg are produced
     (exactly the ones contributing to the top max_codeg+1 coefficients).
     """
-    ensure_valid(polygon)
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    stats = lattice_stats(polygon)
-    if genus > stats.interior:
-        return []
-    tasks = enumeration_tasks(polygon, genus, max_codeg)
-    raw: List[FloorDiagram] = []
-    if jobs > 1 and len(tasks) > 1:
-        import concurrent.futures
+    classes = _classes(polygon, genus, max_codeg)
+    return [classes[k][0] for k in sorted(classes)]
 
-        workers = min(jobs, len(tasks))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [
-                ex.submit(run_enumeration_task, polygon, genus, t, max_codeg)
-                for t in tasks
-            ]
-            for f in futures:
-                raw.extend(f.result())
-    else:
-        for t in tasks:
-            raw.extend(run_enumeration_task(polygon, genus, t, max_codeg))
-    classes: Dict[Tuple, FloorDiagram] = {}
-    for d in raw:
-        classes.setdefault(canonical_key(d), canonical_form(d))
-    return [classes[k] for k in sorted(classes)]
+
+def codegree_coefficient_sum(
+    polygon: HTransversePolygon,
+    genus: int,
+    i: int,
+    shape_term,
+) -> int:
+    """Sum shape_term(pseudo_diagram, shape_codegree) times the number of
+    ordered free-weight assignments, over all isomorphism classes of shapes
+    of codegree <= i.  The caller's term must be constant across the free
+    weights of a shape."""
+    return sum(
+        assign * shape_term(d, codeg)
+        for d, assign, codeg in _classes(polygon, genus, i, free_above=i).values()
+    )
 
 
 # -- codegree-reducing operations ------------------------------------------
@@ -677,20 +553,10 @@ EdgeRef = Tuple[str, int, int]  # ("elev", index, 0) | ("src", floor, copy) | ("
 
 def _consecutive(diagram: FloorDiagram, v1: int, v2: int) -> bool:
     """v2 covers v1 in the floor order induced by reachability."""
-    a = diagram.n_floors
-    succ = {(i, j) for i, j, _ in diagram.elevators}
-    reach = [[False] * a for _ in range(a)]
-    for i, j in succ:
-        reach[i][j] = True
-    for k in range(a):
-        for i in range(a):
-            if reach[i][k]:
-                for j in range(a):
-                    if reach[k][j]:
-                        reach[i][j] = True
+    reach = diagram.reachability()
     if not reach[v1][v2]:
         return False
-    return not any(reach[v1][w] and reach[w][v2] for w in range(a))
+    return not any(reach[v1][w] and reach[w][v2] for w in range(diagram.n_floors))
 
 
 def _rebuild(floors, elevators) -> FloorDiagram:

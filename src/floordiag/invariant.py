@@ -56,12 +56,16 @@ def _cache_path(kind: str, polygon: HTransversePolygon, params: str) -> Optional
 
 
 def _cache_get(path: Optional[Path]) -> Optional[LaurentPoly]:
+    """The cached value; a missing, unreadable or malformed entry is a miss."""
     if path is None or not path.is_file():
         return None
     try:
-        return LaurentPoly.from_json(json.loads(path.read_text()))
+        data = json.loads(path.read_text())
+        if isinstance(data, dict) and all(type(v) is int for v in data.values()):
+            return LaurentPoly.from_json(data)
     except (ValueError, OSError):
-        return None
+        pass
+    return None
 
 
 def _cache_put(path: Optional[Path], value: LaurentPoly) -> None:
@@ -95,7 +99,6 @@ def refined_invariant(
     polygon: HTransversePolygon,
     genus: int,
     max_codeg: Optional[int] = None,
-    jobs: int = 1,
 ) -> LaurentPoly:
     """G_Delta(g); zero when g exceeds the interior lattice count.
 
@@ -110,7 +113,7 @@ def refined_invariant(
     if cached is not None:
         return cached
     total = LaurentPoly.zero()
-    for D in enumerate_floor_diagrams(polygon, genus, max_codeg=max_codeg, jobs=jobs):
+    for D in enumerate_floor_diagrams(polygon, genus, max_codeg=max_codeg):
         total = total + mult(D).scalar_mul(count_markings(D))
     if max_codeg is not None:
         top2 = 2 * (stats.interior - genus)
@@ -126,7 +129,6 @@ def refined_descendant(
     s: int,
     pairing: Optional[Pairing] = None,
     max_codeg: Optional[int] = None,
-    jobs: int = 1,
 ) -> LaurentPoly:
     """G_Delta(0;s) for a pairing of order s (the consecutive one by default).
 
@@ -153,7 +155,7 @@ def refined_descendant(
     if cached is not None:
         return cached
     total = LaurentPoly.zero()
-    for D in enumerate_floor_diagrams(polygon, 0, max_codeg=max_codeg, jobs=jobs):
+    for D in enumerate_floor_diagrams(polygon, 0, max_codeg=max_codeg):
         for m in enumerate_markings(D):
             total = total + mu_S(D, m, pairing)
     if max_codeg is not None and not total.is_zero():
@@ -165,12 +167,10 @@ def refined_descendant(
     return total
 
 
-def descendant_codegree_coeff(
-    polygon: HTransversePolygon, s: int, i: int, jobs: int = 1
-) -> int:
+def descendant_codegree_coeff(polygon: HTransversePolygon, s: int, i: int) -> int:
     """coef_i G_Delta(0;s) through codegree-bounded enumeration."""
     stats = lattice_stats(polygon)
-    g = refined_descendant(polygon, s, max_codeg=i, jobs=jobs)
+    g = refined_descendant(polygon, s, max_codeg=i)
     if g.is_zero():
         return 0
     return g.coeff2(2 * (stats.interior - i))

@@ -73,13 +73,13 @@ class LaurentPoly:
     def evaluate_at_one(self) -> int:
         return sum(self._c.values())
 
-    def evaluate_at_minus_one(self) -> Fraction:
+    def evaluate_at_minus_one(self) -> int:
         """Value at q = -1, i.e. q^{1/2} = i; only sensible for symmetric input."""
-        total = Fraction(0)
+        total = 0
         for e2, v in self._c.items():
             if e2 % 2:
                 raise ValueError("half-integer exponent has no real value at q=-1")
-            total += v * (-1) ** (e2 // 2)
+            total += -v if (e2 // 2) % 2 else v
         return total
 
     # -- ring operations ---------------------------------------------------

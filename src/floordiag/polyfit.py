@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
@@ -121,14 +121,7 @@ def _binomial_poly(shift: int, k: int) -> List[Fraction]:
             new[e + 1] += c
             new[e] -= c * root
         poly = new
-    return [c / Fraction(_factorial(k)) for c in poly]
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
+    return [c / Fraction(factorial(k)) for c in poly]
 
 
 @dataclass

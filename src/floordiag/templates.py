@@ -23,6 +23,7 @@ from .diagram import (
     FloorDiagram,
     canonical_key,
     codegree,
+    compositions,
     enumerate_floor_diagrams,
     validate as validate_diagram,
 )
@@ -463,28 +464,10 @@ def weight_extensions(
         return
     _, template_gaps, _, _ = req
     pools = [
-        [(g, comp) for comp in _multiset_compositions(rest, count)]
+        [(g, comp) for comp in compositions(rest, count)]
         for g, count, rest in template_gaps
     ]
     yield from itertools.product(*pools)
-
-
-def _multiset_compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-
-    def rec(rest, k, lo):
-        if k == 1:
-            if rest >= lo:
-                yield (rest,)
-            return
-        for first in range(lo, rest // k + 1):
-            for tail in rec(rest - first, k - 1, first):
-                yield (first,) + tail
-
-    yield from rec(total, parts, 1)
 
 
 def reconstruct(

@@ -1,9 +1,12 @@
+import json
 import os
 import warnings
+from math import comb
 
 import pytest
 
 from floordiag.invariant import (
+    _cache_path,
     clear_cache,
     descendant_codegree_coeff,
     invariant_codegree_coeff,
@@ -16,7 +19,7 @@ from floordiag.invariant import (
 )
 from floordiag.laurent import LaurentPoly
 from floordiag.marking import all_pairings, make_pairing
-from floordiag.polygon import lattice_stats, make_delta_abn, make_delta_d
+from floordiag.polygon import lattice_stats, make_delta_abn, make_delta_d, parse_polygon
 
 D3 = make_delta_d(3)
 D4 = make_delta_d(4)
@@ -147,6 +150,15 @@ def test_codegree_coeff_shortcuts_match():
         full = refined_invariant(D4, g)
         for i in range(3 - g + 1):
             assert invariant_codegree_coeff(D4, g, i) == full.coeff2(2 * (3 - g - i))
+    # these polygons have shapes with free slots (heavy short elevators)
+    cases = [(make_delta_abn(*abn), g) for abn in ((3, 2, 2), (2, 3, 1), (3, 1, 3), (4, 2, 1))
+             for g in range(3)]
+    cases.append((parse_polygon("ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1"), 0))
+    for poly, g in cases:
+        top = lattice_stats(poly).interior - g
+        full = refined_invariant(poly, g)
+        for i in range(min(2, top) + 1):
+            assert invariant_codegree_coeff(poly, g, i) == full.coeff2(2 * (top - i))
 
 
 def test_leading_coefficient_binomials():
@@ -164,6 +176,37 @@ def test_marked_class_table_shape():
     assert len(rows) == 9
 
 
+def kontsevich(d):
+    """N_d, the number of rational plane curves of degree d through 3d-1
+    points, by Kontsevich's recursion (Kontsevich-Manin, hep-th/9402147)."""
+    N = {1: 1}
+    for e in range(2, d + 1):
+        N[e] = sum(
+            N[d1] * N[e - d1] * d1 * d1 * (e - d1)
+            * ((e - d1) * comb(3 * e - 4, 3 * d1 - 2) - d1 * comb(3 * e - 4, 3 * d1 - 1))
+            for d1 in range(1, e)
+        )
+    return N[d]
+
+
+def test_genus_zero_at_one_is_kontsevich():
+    for d in range(3, 7):
+        assert refined_invariant(make_delta_d(d), 0).evaluate_at_one() == kontsevich(d)
+
+
+def test_genus_zero_at_minus_one_is_welschinger():
+    # Welschinger invariants W_3..W_6 of the plane, as published by
+    # Itenberg-Kharlamov-Shustin
+    for d, w in zip(range(3, 7), (8, 240, 18264, 2845440)):
+        value = refined_invariant(make_delta_d(d), 0).evaluate_at_minus_one()
+        assert type(value) is int
+        assert value == w
+
+
+def test_quartic_genus_one_at_one_is_severi_degree():
+    assert refined_invariant(D4, 1).evaluate_at_one() == 225
+
+
 def test_cache_roundtrip(tmp_path):
     old = os.environ.get("FLOORDIAG_CACHE_DIR")
     os.environ["FLOORDIAG_CACHE_DIR"] = str(tmp_path / "cache")
@@ -179,5 +222,10 @@ def test_cache_roundtrip(tmp_path):
             os.environ["FLOORDIAG_CACHE_DIR"] = old
 
 
-def test_jobs_determinism():
-    assert refined_invariant(D4, 0, jobs=2) == refined_invariant(D4, 0)
+def test_malformed_cache_entry_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", str(tmp_path))
+    path = _cache_path("G", D3, "g=0;mc=None")
+    for entry in ([1, 2], {"2": "a"}):
+        path.write_text(json.dumps(entry))
+        assert refined_invariant(D3, 0).render() == "q + 10 + q^-1"
+    assert json.loads(path.read_text()) == {"2": 1, "0": 10, "-2": 1}
