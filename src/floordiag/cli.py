@@ -2,7 +2,7 @@
 template/capping censuses, golden-file verification suites, and cache
 management.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 engine fault.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 from . import invariant as inv
 from . import polyfit
 from .coeff import coeff_closed_form, in_region_U
-from .laurent import LaurentPoly
+from .laurent import EngineError, LaurentPoly
 from .marking import parse_pairing
 from .polygon import lattice_stats, make_delta_abn, parse_polygon
 from .templates import (
@@ -30,6 +30,7 @@ from .templates import (
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+ENGINE_FAULT = 3
 
 
 def _print_poly(p: LaurentPoly, fmt: str) -> None:
@@ -218,13 +219,13 @@ def _suite_paper_examples(report: List[str]) -> bool:
 
 
 def _suite_identities(report: List[str]) -> bool:
-    from .laurent import divide_exact, mul, poly_geq, quantum_integer
+    from .laurent import divide_exact, poly_geq, quantum_integer
 
     ok = True
     K = 12
     for k in range(1, K + 1):
         for l in range(0, K + 1):
-            lhs = mul(quantum_integer(k), quantum_integer(k + l))
+            lhs = quantum_integer(k) * quantum_integer(k + l)
             rhs = LaurentPoly.zero()
             for c in range(k):
                 rhs = rhs + quantum_integer(2 * k + l - 1 - 2 * c)
@@ -239,20 +240,19 @@ def _suite_identities(report: List[str]) -> bool:
     good = True
     for k in range(1, K + 1):
         for l in range(1, K + 1):
-            lhs = mul(quantum_integer(k), quantum_integer(k + l - 1))
+            lhs = quantum_integer(k) * quantum_integer(k + l - 1)
             rhs = quantum_integer(l)
             if k > 1:
-                rhs = rhs + mul(quantum_integer(k - 1), quantum_integer(k + l))
+                rhs = rhs + quantum_integer(k - 1) * quantum_integer(k + l)
             good &= lhs == rhs
     ok &= good
     report.append("[k][k+l-1] = [k-1][k+l] + [l] (corrected): %s" % ("ok" if good else "FAIL"))
     good = True
     for k in range(1, K + 1):
         for l in range(1, K + 1):
-            sq = mul(mul(quantum_integer(k), quantum_integer(k)),
-                     mul(quantum_integer(l), quantum_integer(l)))
-            num = mul(mul(quantum_integer(k), quantum_integer(l)),
-                      quantum_integer(k + l))
+            sq = (quantum_integer(k) * quantum_integer(k)
+                  * quantum_integer(l) * quantum_integer(l))
+            num = quantum_integer(k) * quantum_integer(l) * quantum_integer(k + l)
             good &= poly_geq(sq, divide_exact(num, quantum_integer(2)))
     ok &= good
     report.append("[k]^2[l]^2 >= [k][l][k+l]/[2]: %s" % ("ok" if good else "FAIL"))
@@ -409,6 +409,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except EngineError as exc:
+        print("engine fault: %s" % exc, file=sys.stderr)
+        return ENGINE_FAULT
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR

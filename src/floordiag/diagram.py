@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .laurent import LaurentPoly, prod, quantum_integer
+from .laurent import EngineError, LaurentPoly, prod, quantum_integer
 from .polygon import HTransversePolygon, ensure_valid, lattice_stats
 
 Floor = Tuple[int, int, int, int]  # (l, r, sources, sinks)
@@ -564,7 +564,7 @@ def _rebuild(floors, elevators) -> FloorDiagram:
     poly = d.newton_polygon()
     errs = validate(d, poly)
     if errs:
-        raise ValueError("operation produced an invalid diagram: " + "; ".join(errs))
+        raise EngineError("operation produced an invalid diagram: " + "; ".join(errs))
     return canonical_form(d)
 
 

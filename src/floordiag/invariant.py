@@ -25,6 +25,7 @@ from .marking import (
     all_pairings,
     canonical_pairing,
     count_markings,
+    descendant_sum,
     enumerate_markings,
     mu_S,
 )
@@ -156,8 +157,7 @@ def refined_descendant(
         return cached
     total = LaurentPoly.zero()
     for D in enumerate_floor_diagrams(polygon, 0, max_codeg=max_codeg):
-        for m in enumerate_markings(D):
-            total = total + mu_S(D, m, pairing)
+        total = total + descendant_sum(D, pairing)
     if max_codeg is not None and not total.is_zero():
         top2 = 2 * stats.interior
         total = LaurentPoly(
@@ -187,20 +187,13 @@ def invariant_codegree_coeff(
     assignments * markings_per_assignment * coefficient in one step.
     """
     from .coeff import coeff_product_of_squares
-    from .diagram import FREE_WEIGHT, codegree_coefficient_sum, vertex_automorphisms
-    from .marking import count_reduced_extensions, _ordinal_chain_count
+    from .diagram import FREE_WEIGHT, codegree_coefficient_sum
 
     def shape_term(pseudo, codeg):
-        reduced = _ordinal_chain_count(pseudo)
-        if reduced is None:
-            reduced = count_reduced_extensions(pseudo)
-        auts = len(vertex_automorphisms(pseudo))
-        if reduced % auts:
-            raise AssertionError("automorphism action on markings is not free")
         weights = [
             i + 1 if w == FREE_WEIGHT else w for _, _, w in pseudo.elevators
         ]
-        return (reduced // auts) * coeff_product_of_squares(i - codeg, weights)
+        return count_markings(pseudo) * coeff_product_of_squares(i - codeg, weights)
 
     return codegree_coefficient_sum(polygon, genus, i, shape_term)
 

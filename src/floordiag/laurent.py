@@ -12,6 +12,10 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
 
+class EngineError(ValueError):
+    """An identity the engine relies on failed: a fault, never a usage error."""
+
+
 class LaurentPoly:
     """A Laurent polynomial as a map {doubled exponent: integer coefficient}."""
 
@@ -184,14 +188,6 @@ def quantum_integer(k: int) -> LaurentPoly:
     return LaurentPoly({k - 1 - 2 * j: 1 for j in range(k)})
 
 
-def add(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:
-    return p + r
-
-
-def mul(p: LaurentPoly, r: LaurentPoly) -> LaurentPoly:
-    return p * r
-
-
 def prod(factors: Iterable[LaurentPoly]) -> LaurentPoly:
     out = LaurentPoly.one()
     for f in factors:
@@ -202,7 +198,7 @@ def prod(factors: Iterable[LaurentPoly]) -> LaurentPoly:
 def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     """Exact quotient p/d in Z[q^{1/2},q^{-1/2}], by long division from the top.
 
-    Raises ValueError when the division is not exact; that always signals a
+    Raises EngineError when the division is not exact; that always signals a
     violated identity upstream, never an expected condition.
     """
     if d.is_zero():
@@ -218,11 +214,11 @@ def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
         rtop = max(rem)
         lead = rem[rtop]
         if lead % dlead:
-            raise ValueError("non-exact Laurent division (leading coefficient)")
+            raise EngineError("non-exact Laurent division (leading coefficient)")
         c = lead // dlead
         shift = rtop - dtop
         if shift < min_shift:
-            raise ValueError("non-exact Laurent division (remainder)")
+            raise EngineError("non-exact Laurent division (remainder)")
         q[shift] = c
         for e2, v in d._c.items():
             k = e2 + shift

@@ -1,5 +1,5 @@
-"""Markings (linear extensions of the diagram poset), pairings, and the
-refined S-multiplicity.
+"""Markings (linear extensions of the diagram poset), pairings, the
+refined S-multiplicity and its sum over the markings of a diagram.
 
 Elements of the poset are the floors and all elevators, including the
 weight-1 sources and sinks.  Same-floor sources, same-floor sinks and
@@ -16,7 +16,7 @@ from math import factorial
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import FloorDiagram, vertex_automorphisms
-from .laurent import LaurentPoly, divide_exact, quantum_integer
+from .laurent import EngineError, LaurentPoly, divide_exact, quantum_integer
 
 Element = Tuple  # ("floor", v) | ("elev", i, j, w, copy) | ("src", v, copy) | ("snk", v, copy)
 Marking = Tuple[Element, ...]
@@ -184,7 +184,7 @@ def count_markings(diagram: FloorDiagram) -> int:
         total = count_reduced_extensions(diagram)
     auts = len(vertex_automorphisms(diagram))
     if total % auts:
-        raise AssertionError("automorphism action on markings is not free")
+        raise EngineError("automorphism action on markings is not free")
     return total // auts
 
 
@@ -336,3 +336,102 @@ def mu_S(diagram: FloorDiagram, marking: Marking, pairing: Pairing) -> LaurentPo
         num = quantum_integer(w) * quantum_integer(wp) * quantum_integer(w + wp)
         out = out * divide_exact(num, _TWO)
     return out
+
+
+_UNIT = ("unit",)
+
+
+def _factor_terms(key: Tuple) -> Tuple[Tuple[int, int], ...]:
+    """Terms of the mu_S factor named by key: ("square", w) is [w]^2,
+    ("floor", w) is [w](q^2) and ("double", w, w') is [w][w'][w+w']/[2]."""
+    kind, w = key[0], key[1]
+    if kind == "square":
+        return (quantum_integer(w) * quantum_integer(w)).key()
+    if kind == "floor":
+        return quantum_integer(w).substitute_q_squared().key()
+    wp = key[2]
+    num = quantum_integer(w) * quantum_integer(wp) * quantum_integer(w + wp)
+    return divide_exact(num, _TWO).key()
+
+
+def _single_key(e: Element) -> Tuple:
+    w = _weight(e)
+    return ("square", w) if w > 1 else _UNIT
+
+
+def _pair_key(x: Element, y: Element) -> Optional[Tuple]:
+    """Factor key of x, y at the two positions of a pair; None when incompatible."""
+    kind = _pair_kind(x, y)
+    if kind == "floor":
+        w = _weight(x if x[0] != "floor" else y)
+        return ("floor", w) if w > 1 else _UNIT
+    if kind == "double":
+        w, wp = sorted((_weight(x), _weight(y)))
+        return ("double", w, wp) if wp > 1 else _UNIT
+    return None
+
+
+def descendant_sum(diagram: FloorDiagram, pairing: Pairing) -> LaurentPoly:
+    """Sum of mu_S over the marked classes of the diagram, without listing them.
+
+    mu_S is a product of one factor per unpaired position and one per pair
+    {i, i+1} in S, so the sum over reduced extensions is a DP over the
+    downsets of the reduced poset: the next position is the number of
+    placed elements plus one, and a pair's first position places both of
+    its elements at once.  Floor automorphisms act freely on reduced
+    extensions and preserve mu_S, so dividing by their number gives the sum
+    over marked classes; that division is checked to be exact.
+    """
+    elems, _, preds = _poset_arrays(diagram)
+    n = len(elems)
+    full = (1 << n) - 1
+    firsts = {i for i, _ in pairing}
+    singles = [_single_key(e) for e in elems]
+    pair_keys: Dict[Tuple[int, int], Optional[Tuple]] = {}
+    terms: Dict[Tuple, Tuple[Tuple[int, int], ...]] = {}
+    memo: Dict[int, Dict[int, int]] = {full: {0: 1}}
+
+    def add_into(acc: Dict[int, int], p: Dict[int, int]) -> None:
+        for e2, v in p.items():
+            acc[e2] = acc.get(e2, 0) + v
+
+    def total(placed: int, pos: int) -> Dict[int, int]:
+        got = memo.get(placed)
+        if got is not None:
+            return got
+        # sub-sums grouped by factor, so each distinct factor multiplies once
+        groups: Dict[Tuple, Dict[int, int]] = {}
+        for x in range(n):
+            bit = 1 << x
+            if placed & bit or preds[x] & ~placed:
+                continue
+            if pos not in firsts:
+                add_into(groups.setdefault(singles[x], {}), total(placed | bit, pos + 1))
+                continue
+            after_x = placed | bit
+            for y in range(n):
+                ybit = 1 << y
+                if after_x & ybit or preds[y] & ~after_x:
+                    continue
+                if (x, y) not in pair_keys:
+                    pair_keys[(x, y)] = _pair_key(elems[x], elems[y])
+                key = pair_keys[(x, y)]
+                if key is not None:
+                    add_into(groups.setdefault(key, {}), total(after_x | ybit, pos + 2))
+        out = groups.pop(_UNIT, {})
+        for key, sub in groups.items():
+            if key not in terms:
+                terms[key] = _factor_terms(key)
+            for e2, v in terms[key]:
+                for f2, w in sub.items():
+                    out[e2 + f2] = out.get(e2 + f2, 0) + v * w
+        memo[placed] = out
+        return out
+
+    auts = len(vertex_automorphisms(diagram))
+    result = {}
+    for e2, v in total(0, 1).items():
+        if v % auts:
+            raise EngineError("automorphism action on markings is not free")
+        result[e2] = v // auts
+    return LaurentPoly(result)

@@ -250,7 +250,7 @@ def test_criterion_13_bijection_and_bounds():
 
 def test_criterion_14_quantum_identities():
     t0 = time.monotonic()
-    from floordiag.laurent import divide_exact, mul, poly_geq, prod, quantum_integer as q
+    from floordiag.laurent import divide_exact, poly_geq, prod, quantum_integer as q
 
     ok = True
     K = 12
@@ -259,12 +259,12 @@ def test_criterion_14_quantum_identities():
             rhs = LaurentPoly.zero()
             for c in range(k):
                 rhs = rhs + q(2 * k + l - 1 - 2 * c)
-            ok &= mul(q(k), q(k + l)) == rhs
+            ok &= q(k) * q(k + l) == rhs
         ok &= divide_exact(q(2 * k), q(2)) == q(k).substitute_q_squared()
     for k in range(1, K + 1):
         for l in range(1, K + 1):
-            lhs = mul(q(k), q(k + l - 1))
-            rhs = q(l) if k == 1 else mul(q(k - 1), q(k + l)) + q(l)
+            lhs = q(k) * q(k + l - 1)
+            rhs = q(l) if k == 1 else q(k - 1) * q(k + l) + q(l)
             ok &= lhs == rhs
             ok &= poly_geq(
                 prod([q(k), q(k), q(l), q(l)]),

@@ -60,6 +60,19 @@ def test_usage_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_engine_fault_exit_code(capsys, monkeypatch):
+    from floordiag import invariant
+    from floordiag.laurent import EngineError
+
+    def fault(*args, **kwargs):
+        raise EngineError("non-exact Laurent division (remainder)")
+
+    monkeypatch.setattr(invariant, "refined_invariant", fault)
+    code, _, err = run(capsys, "invariant", "--polygon", "abn:3,0,1", "--genus", "0")
+    assert code == 3
+    assert "engine fault" in err
+
+
 def test_unknown_suite_is_usage_error(capsys):
     code = main(["verify", "--suite", "bogus"])
     assert code == 2

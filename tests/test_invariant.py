@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from floordiag.diagram import enumerate_floor_diagrams
 from floordiag.invariant import (
     _cache_path,
     clear_cache,
@@ -18,7 +19,13 @@ from floordiag.invariant import (
     verify_recursion,
 )
 from floordiag.laurent import LaurentPoly
-from floordiag.marking import all_pairings, make_pairing
+from floordiag.marking import (
+    all_pairings,
+    canonical_pairing,
+    enumerate_markings,
+    make_pairing,
+    mu_S,
+)
 from floordiag.polygon import lattice_stats, make_delta_abn, make_delta_d, parse_polygon
 
 D3 = make_delta_d(3)
@@ -159,6 +166,22 @@ def test_codegree_coeff_shortcuts_match():
         full = refined_invariant(poly, g)
         for i in range(min(2, top) + 1):
             assert invariant_codegree_coeff(poly, g, i) == full.coeff2(2 * (top - i))
+
+
+@pytest.mark.parametrize("literal", ["abn:4,0,1", "abn:3,1,1", "abn:3,2,1"])
+def test_truncated_descendant_matches_marking_oracle(literal, monkeypatch):
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    polygon = parse_polygon(literal)
+    stats = lattice_stats(polygon)
+    classes = [(d, m) for d in enumerate_floor_diagrams(polygon, 0) for m in enumerate_markings(d)]
+    pairings = [canonical_pairing(s) for s in range(4)] + [make_pairing([(2, 3), (6, 7)])]
+    for S in pairings:
+        full = sum((mu_S(d, m, S) for d, m in classes), LaurentPoly.zero())
+        assert refined_descendant(polygon, len(S), pairing=S) == full
+        for i in range(3):
+            top = {e2: v for e2, v in full.key() if e2 >= 2 * (stats.interior - i)}
+            got = refined_descendant(polygon, len(S), pairing=S, max_codeg=i)
+            assert got == LaurentPoly(top)
 
 
 def test_leading_coefficient_binomials():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from floordiag.laurent import (
     LaurentPoly,
     divide_exact,
-    mul,
     poly_geq,
     prod,
     quantum_integer,
@@ -41,18 +40,18 @@ def test_quantum_integer_shape(k):
 
 
 def test_mul_examples():
-    assert mul(q(2), q(2)) == LaurentPoly({2: 1, 0: 2, -2: 1})
+    assert q(2) * q(2) == LaurentPoly({2: 1, 0: 2, -2: 1})
     p = LaurentPoly({7: 3, -4: 1})
-    assert mul(q(1), p) == p
+    assert q(1) * p == p
     # computed by direct expansion; equals [5] + [3] by the product identity
-    assert mul(q(2), q(4)) == LaurentPoly({4: 1, 2: 2, 0: 2, -2: 2, -4: 1})
-    assert mul(q(2), q(4)) == q(5) + q(3)
+    assert q(2) * q(4) == LaurentPoly({4: 1, 2: 2, 0: 2, -2: 2, -4: 1})
+    assert q(2) * q(4) == q(5) + q(3)
 
 
 def test_divide_exact_examples():
     assert divide_exact(prod([q(2), q(1), q(3)]), q(2)) == q(3)
     assert divide_exact(q(6), q(2)) == q(3).substitute_q_squared()
-    assert divide_exact(prod([q(2), q(2), q(4)]), q(2)) == mul(q(2), q(4))
+    assert divide_exact(prod([q(2), q(2), q(4)]), q(2)) == q(2) * q(4)
 
 
 def test_divide_exact_rejects_inexact():
@@ -85,13 +84,13 @@ def test_substitute_q_squared():
 
 def test_poly_geq():
     for k in range(2, 7):
-        assert poly_geq(mul(q(k), q(k)), q(k).substitute_q_squared())
-    p = mul(q(5), q(3))
+        assert poly_geq(q(k) * q(k), q(k).substitute_q_squared())
+    p = q(5) * q(3)
     assert poly_geq(p, p)
     lhs = prod([q(2), q(2), q(3), q(3)])
     rhs = divide_exact(prod([q(2), q(3), q(5)]), q(2))
     assert poly_geq(lhs, rhs)
-    assert not poly_geq(q(2), mul(q(2), q(2)))
+    assert not poly_geq(q(2), q(2) * q(2))
 
 
 def test_render():
@@ -102,7 +101,7 @@ def test_render():
 
 
 def test_json_roundtrip():
-    p = mul(q(4), q(7))
+    p = q(4) * q(7)
     assert LaurentPoly.from_json(p.to_json()) == p
     assert LaurentPoly({2: 1, 0: 10, -2: 1}).to_json() == {"2": 1, "0": 10, "-2": 1}
 
@@ -146,7 +145,7 @@ def test_product_expansion(k):
         rhs = LaurentPoly.zero()
         for c in range(k):
             rhs = rhs + q(2 * k + l - 1 - 2 * c)
-        assert mul(q(k), q(k + l)) == rhs
+        assert q(k) * q(k + l) == rhs
 
 
 @pytest.mark.parametrize("k", range(1, K + 1))
@@ -160,8 +159,8 @@ def test_shift_identity_corrected_rhs():
     holds_l, holds_k = True, True
     for k in range(2, K + 1):
         for l in range(1, K + 1):
-            lhs = mul(q(k), q(k + l - 1))
-            base = mul(q(k - 1), q(k + l))
+            lhs = q(k) * q(k + l - 1)
+            base = q(k - 1) * q(k + l)
             holds_l &= lhs == base + q(l)
             holds_k &= lhs == base + q(k)
     assert holds_l

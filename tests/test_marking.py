@@ -1,14 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from floordiag import marking
 from floordiag.diagram import FloorDiagram, enumerate_floor_diagrams, mult
-from floordiag.laurent import LaurentPoly, poly_geq
+from floordiag.laurent import EngineError, LaurentPoly, poly_geq
 from floordiag.marking import (
     all_pairings,
     canonical_pairing,
     count_markings,
     count_reduced_extensions,
+    descendant_sum,
     elements_of,
     enumerate_markings,
     is_compatible,
@@ -17,7 +21,14 @@ from floordiag.marking import (
     mu_S,
     parse_pairing,
 )
-from floordiag.polygon import HTransversePolygon, make_delta_abn, make_delta_d
+from floordiag.polygon import (
+    HTransversePolygon,
+    lattice_stats,
+    make_delta_abn,
+    make_delta_d,
+    parse_polygon,
+    validate,
+)
 
 CHAIN2 = FloorDiagram(((0, 1, 3, 0), (0, 1, 0, 0), (0, 1, 0, 0)),
                       ((0, 1, 2), (1, 2, 1)))  # the weight-2 cubic chain
@@ -203,3 +214,57 @@ def test_elevator_partition():
                 assert e not in in_pairs
                 in_pairs.add(e)
     assert in_pairs <= set(elevs)
+
+
+# -- the downset DP against the marking-by-marking oracle -----------------------
+
+MIXED = "ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1"
+
+
+def marking_oracle(d, pairing, markings):
+    return sum((mu_S(d, m, pairing) for m in markings), LaurentPoly.zero())
+
+
+# The mixed polygon has 524,624 marked genus-0 classes, too many to list for
+# every pairing; its diagrams of codegree <= 3 (245 marked classes) are used.
+@pytest.mark.parametrize("literal,max_codeg", [
+    ("abn:4,0,1", None), ("abn:3,1,1", None), ("abn:3,2,1", None), (MIXED, 3)])
+@pytest.mark.parametrize("s", range(4))
+def test_descendant_sum_matches_marking_oracle(literal, max_codeg, s):
+    polygon = parse_polygon(literal)
+    n = lattice_stats(polygon).boundary - 1
+    for d in enumerate_floor_diagrams(polygon, 0, max_codeg=max_codeg):
+        markings = enumerate_markings(d)
+        for S in all_pairings(n, s):
+            assert descendant_sum(d, S) == marking_oracle(d, S, markings)
+
+
+@st.composite
+def small_polygons(draw):
+    a = draw(st.integers(1, 3))
+    d_l = draw(st.lists(st.integers(-1, 1), min_size=a, max_size=a))
+    d_r = draw(st.lists(st.integers(-1, 1), min_size=a, max_size=a))
+    d_t = draw(st.integers(0, 2))
+    polygon = HTransversePolygon(tuple(d_l), tuple(d_r), d_t + sum(d_r) - sum(d_l), d_t)
+    assume(not validate(polygon))
+    return polygon
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_descendant_sum_random_diagrams(data):
+    diagrams = enumerate_floor_diagrams(data.draw(small_polygons()), 0)
+    assume(diagrams)
+    d = data.draw(st.sampled_from(diagrams))
+    n = d.n_marks()
+    pairing = data.draw(st.sampled_from(list(all_pairings(n, data.draw(st.integers(0, n // 2))))))
+    assert descendant_sum(d, pairing) == marking_oracle(d, pairing, enumerate_markings(d))
+
+
+def test_inexact_automorphism_division_is_an_engine_fault(monkeypatch):
+    # CHAIN11 has 5 reduced extensions; 7 automorphisms cannot act freely
+    monkeypatch.setattr(marking, "vertex_automorphisms", lambda d: [None] * 7)
+    with pytest.raises(EngineError):
+        descendant_sum(CHAIN11, frozenset())
+    with pytest.raises(EngineError):
+        count_markings(CHAIN11)
