@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator, List, Sequence, Tuple
 
-from .diagram import FloorDiagram
+from .diagram import FloorDiagram, bounded_vectors
 from .laurent import prod, quantum_integer
 
 
@@ -93,25 +93,11 @@ def enumerate_C(i: int) -> List[UVector]:
     """C_i = {(u, ut) of length i with sum j*(u_j + ut_j) <= i}, lex ordered."""
     if i < 0:
         raise ValueError("i must be nonnegative")
-    if i == 0:
-        return [UVector((), ())]
-
-    def vectors(budget):
-        # length-i vectors v with sum (j+1) * v_j <= budget, lex order
-        def rec(pos, left):
-            if pos == i:
-                yield ()
-                return
-            for v in range(left // (pos + 1) + 1):
-                for tail in rec(pos + 1, left - (pos + 1) * v):
-                    yield (v,) + tail
-
-        yield from rec(0, budget)
-
+    costs = range(1, i + 1)
     out = []
-    for u in vectors(i):
-        used = sum((j + 1) * v for j, v in enumerate(u))
-        for ut in vectors(i - used):
+    for u in bounded_vectors(costs, i):
+        used = sum(c * v for c, v in zip(costs, u))
+        for ut in bounded_vectors(costs, i - used):
             out.append(UVector(u, ut))
     return out
 

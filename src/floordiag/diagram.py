@@ -118,7 +118,7 @@ def codegree(diagram: FloorDiagram) -> int:
     stats = lattice_stats(diagram.newton_polygon())
     c = stats.interior - diagram.genus() - diagram.degree()
     if c < 0:
-        raise AssertionError("negative codegree: invalid floor diagram")
+        raise EngineError("negative codegree: invalid floor diagram")
     return c
 
 
@@ -296,6 +296,22 @@ def compositions(
                 yield (first,) + tail
 
     yield from rec(total, parts, 1)
+
+
+def bounded_vectors(costs: Sequence[int], budget: int) -> Iterator[Tuple[int, ...]]:
+    """Nonnegative integer vectors x with sum(costs[v] * x[v]) <= budget and
+    x[v] = 0 wherever costs[v] is 0, in lexicographic order."""
+
+    def rec(v, left):
+        if v == len(costs):
+            yield ()
+            return
+        cost = costs[v]
+        for x in range(left // cost + 1 if cost else 1):
+            for tail in rec(v + 1, left - cost * x):
+                yield (x,) + tail
+
+    yield from rec(0, budget)
 
 
 def _sub_multisets(items: Sequence[Tuple[int, int]]) -> Iterator[Tuple[Tuple[int, int], ...]]:

@@ -3,8 +3,9 @@
 G_Delta(g) sums count * multiplicity over floor-diagram classes of genus g;
 G_Delta(0;s) sums the refined S-multiplicity over marked genus-0 classes
 for a pairing of order s.  Results are memoized on disk keyed by polygon,
-parameters and the enumeration algorithm version, because the verification
-suites recompute the same invariants many times.
+parameters and a digest of the engine source, because the verification
+suites recompute the same invariants many times; any edit to the engine
+starts a fresh cache, with no version to bump by hand.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import random
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .diagram import enumerate_floor_diagrams, mult
 from .laurent import LaurentPoly
@@ -31,8 +31,18 @@ from .marking import (
 )
 from .polygon import HTransversePolygon, chop_top, lattice_stats
 
-# Bump when enumeration or multiplicity semantics change; invalidates caches.
-ALGO_VERSION = "floordiag-1"
+
+def _source_digest() -> str:
+    """Short sha256 of the package's *.py files (sorted names and bytes)."""
+    h = hashlib.sha256()
+    for f in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(f.name.encode())
+        h.update(f.read_bytes())
+    return h.hexdigest()[:16]
+
+
+# Part of every cache key: a cached entry is only served to the same source.
+ALGO_VERSION = "floordiag-" + _source_digest()
 
 _ENV_CACHE = "FLOORDIAG_CACHE_DIR"
 
@@ -56,22 +66,27 @@ def _cache_path(kind: str, polygon: HTransversePolygon, params: str) -> Optional
     return base / name
 
 
-def _cache_get(path: Optional[Path]) -> Optional[LaurentPoly]:
-    """The cached value; a missing, unreadable or malformed entry is a miss."""
-    if path is None or not path.is_file():
-        return None
+def _cached(
+    kind: str,
+    polygon: HTransversePolygon,
+    params: str,
+    compute: Callable[[], LaurentPoly],
+) -> LaurentPoly:
+    """The cached value for (kind, polygon, params), else compute(), stored.
+
+    A missing, unreadable or malformed entry is a miss; a failed write
+    leaves the value uncached.
+    """
+    path = _cache_path(kind, polygon, params)
+    if path is None:
+        return compute()
     try:
         data = json.loads(path.read_text())
         if isinstance(data, dict) and all(type(v) is int for v in data.values()):
             return LaurentPoly.from_json(data)
     except (ValueError, OSError):
         pass
-    return None
-
-
-def _cache_put(path: Optional[Path], value: LaurentPoly) -> None:
-    if path is None:
-        return
+    value = compute()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp%d" % os.getpid())
@@ -79,6 +94,7 @@ def _cache_put(path: Optional[Path], value: LaurentPoly) -> None:
         tmp.replace(path)
     except OSError:
         pass
+    return value
 
 
 def clear_cache() -> int:
@@ -96,33 +112,18 @@ def _pairing_token(pairing: Pairing) -> str:
     return ",".join("%d-%d" % p for p in sorted(pairing))
 
 
-def refined_invariant(
-    polygon: HTransversePolygon,
-    genus: int,
-    max_codeg: Optional[int] = None,
-) -> LaurentPoly:
-    """G_Delta(g); zero when g exceeds the interior lattice count.
-
-    With max_codeg set, only the coefficients of codegree <= max_codeg are
-    trustworthy (lower terms of the result are dropped).
-    """
-    stats = lattice_stats(polygon)
-    if genus > stats.interior:
+def refined_invariant(polygon: HTransversePolygon, genus: int) -> LaurentPoly:
+    """G_Delta(g); zero when g exceeds the interior lattice count."""
+    if genus > lattice_stats(polygon).interior:
         return LaurentPoly.zero()
-    path = _cache_path("G", polygon, "g=%d;mc=%s" % (genus, max_codeg))
-    cached = _cache_get(path)
-    if cached is not None:
-        return cached
-    total = LaurentPoly.zero()
-    for D in enumerate_floor_diagrams(polygon, genus, max_codeg=max_codeg):
-        total = total + mult(D).scalar_mul(count_markings(D))
-    if max_codeg is not None:
-        top2 = 2 * (stats.interior - genus)
-        total = LaurentPoly(
-            {e2: v for e2, v in total.key() if e2 >= top2 - 2 * max_codeg}
-        )
-    _cache_put(path, total)
-    return total
+
+    def compute() -> LaurentPoly:
+        total = LaurentPoly.zero()
+        for D in enumerate_floor_diagrams(polygon, genus):
+            total = total + mult(D).scalar_mul(count_markings(D))
+        return total
+
+    return _cached("G", polygon, "g=%d" % genus, compute)
 
 
 def refined_descendant(
@@ -149,30 +150,26 @@ def refined_descendant(
     for i, j in pairing:
         if not (1 <= i and j <= n_marks):
             raise ValueError("pair %r outside {1..%d}" % ((i, j), n_marks))
-    path = _cache_path(
-        "Gs", polygon, "s=%d;S=%s;mc=%s" % (s, _pairing_token(pairing), max_codeg)
-    )
-    cached = _cache_get(path)
-    if cached is not None:
-        return cached
-    total = LaurentPoly.zero()
-    for D in enumerate_floor_diagrams(polygon, 0, max_codeg=max_codeg):
-        total = total + descendant_sum(D, pairing)
-    if max_codeg is not None and not total.is_zero():
-        top2 = 2 * stats.interior
-        total = LaurentPoly(
-            {e2: v for e2, v in total.key() if e2 >= top2 - 2 * max_codeg}
-        )
-    _cache_put(path, total)
-    return total
+
+    def compute() -> LaurentPoly:
+        total = LaurentPoly.zero()
+        for D in enumerate_floor_diagrams(polygon, 0, max_codeg=max_codeg):
+            total = total + descendant_sum(D, pairing)
+        if max_codeg is not None:
+            top2 = 2 * stats.interior
+            total = LaurentPoly(
+                {e2: v for e2, v in total.key() if e2 >= top2 - 2 * max_codeg}
+            )
+        return total
+
+    params = "s=%d;S=%s;mc=%s" % (s, _pairing_token(pairing), max_codeg)
+    return _cached("Gs", polygon, params, compute)
 
 
 def descendant_codegree_coeff(polygon: HTransversePolygon, s: int, i: int) -> int:
     """coef_i G_Delta(0;s) through codegree-bounded enumeration."""
     stats = lattice_stats(polygon)
     g = refined_descendant(polygon, s, max_codeg=i)
-    if g.is_zero():
-        return 0
     return g.coeff2(2 * (stats.interior - i))
 
 
@@ -211,24 +208,14 @@ class Report:
         return "%s %s" % ("PASS" if self.passed else "FAIL", self.name)
 
 
-def verify_pairing_independence(
-    polygon: HTransversePolygon,
-    s: int,
-    sample_cutoff: int = 12,
-    sample_size: int = 50,
-    seed: int = 20240229,
-) -> Report:
-    """Recompute G_Delta(0;s) for every pairing of order s (or a fixed-seed
-    sample when n(Delta) is large) and compare."""
+def verify_pairing_independence(polygon: HTransversePolygon, s: int) -> Report:
+    """Recompute G_Delta(0;s) for every pairing of order s and compare."""
     stats = lattice_stats(polygon)
     n = stats.boundary - 1
     name = "pairing-independence %s s=%d" % (polygon.key(), s)
     if s > stats.s_max:
         return Report(name, False, ["s beyond s_max"])
     pairings = list(all_pairings(n, s))
-    if n > sample_cutoff and len(pairings) > sample_size:
-        rng = random.Random(seed)
-        pairings = rng.sample(pairings, sample_size)
     values: Dict[Tuple, List[str]] = {}
     for S in pairings:
         val = refined_descendant(polygon, s, pairing=S)

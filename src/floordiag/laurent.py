@@ -41,11 +41,6 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, e2: int, coeff: int = 1) -> "LaurentPoly":
-        """Monomial coeff * q^(e2/2), exponent given doubled."""
-        return cls({e2: coeff})
-
     def is_zero(self) -> bool:
         return not self._c
 

@@ -148,7 +148,7 @@ def enumerate_markings(diagram: FloorDiagram) -> List[Marking]:
             continue
         orbit = {m(seq) for m in maps}
         if len(orbit) != len(auts):
-            raise AssertionError("automorphism action on markings is not free")
+            raise EngineError("automorphism action on markings is not free")
         seen.update(orbit)
         reps.append(min(orbit))
     return reps

@@ -150,25 +150,21 @@ class FitReport:
 
 
 def fit_on_box(
-    sampler: Callable[..., int],
-    box: Mapping[str, Sequence[int]],
-    variables: Optional[Sequence[str]] = None,
+    sampler: Callable[..., int], box: Mapping[str, Sequence[int]]
 ) -> RationalPoly:
     """Exact tensor-grid Newton fit on a box of consecutive integer values.
 
     Each axis must be a run of consecutive integers; the fitted polynomial
     has degree < len(axis) in each variable and matches every grid point.
     """
-    poly, _ = _fit_with_grid(sampler, box, variables)
+    poly, _ = _fit_with_grid(sampler, box)
     return poly
 
 
 def _fit_with_grid(
-    sampler: Callable[..., int],
-    box: Mapping[str, Sequence[int]],
-    variables: Optional[Sequence[str]] = None,
+    sampler: Callable[..., int], box: Mapping[str, Sequence[int]]
 ) -> Tuple[RationalPoly, Dict[Tuple[int, ...], Fraction]]:
-    names = tuple(variables if variables is not None else box.keys())
+    names = tuple(box)
     axes = [list(box[v]) for v in names]
     for v, axis in zip(names, axes):
         if any(axis[k + 1] - axis[k] != 1 for k in range(len(axis) - 1)):
@@ -246,7 +242,7 @@ def verify_polynomiality(
                 details=["axis %s needs %d points for degree %d" % (v, degrees[v] + 2, degrees[v])],
                 region={k: list(vv) for k, vv in box.items()},
             )
-    fitted, grid = _fit_with_grid(sampler, box, names)
+    fitted, grid = _fit_with_grid(sampler, box)
     got_degrees = {v: fitted.degree_in(d) for d, v in enumerate(names)}
     details = []
     passed = True

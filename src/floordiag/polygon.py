@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
 
+from .laurent import EngineError
+
 
 @dataclass(frozen=True)
 class HTransversePolygon:
@@ -43,10 +45,6 @@ class HTransversePolygon:
     def right_profile(self) -> List[int]:
         """Right slopes row by row from bottom to top (convex order)."""
         return sorted(self.d_r)
-
-    def row_divergences(self) -> List[int]:
-        """r - l per row, bottom to top, with the convex label order."""
-        return [r - l for l, r in zip(self.left_profile(), self.right_profile())]
 
 
 @dataclass(frozen=True)
@@ -165,13 +163,9 @@ def lattice_stats(p: HTransversePolygon) -> LatticeStats:
     area2 = abs(area2)
     interior = (area2 - boundary + 2) // 2
     if (area2 - boundary + 2) % 2:
-        raise AssertionError("Pick's theorem parity failure")
+        raise EngineError("Pick's theorem parity failure")
     n_delta = boundary - 1
     return LatticeStats(interior, boundary, n_delta, n_delta // 2)
-
-
-def interior_points(p: HTransversePolygon) -> int:
-    return lattice_stats(p).interior
 
 
 def chop_top(p: HTransversePolygon) -> HTransversePolygon:

@@ -21,12 +21,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import (
     FloorDiagram,
+    bounded_vectors,
     canonical_key,
     codegree,
     compositions,
     enumerate_floor_diagrams,
     validate as validate_diagram,
 )
+from .laurent import EngineError
 from .polygon import make_delta_abn
 
 Long = Tuple[int, int, int]  # (p, q, w), 1-based vertices, q - p >= 2
@@ -56,9 +58,6 @@ class Template:
 
     def n_sinks(self) -> int:
         return sum(self.sinks)
-
-    def is_point(self) -> bool:
-        return self.length == 1
 
     def is_closed(self) -> bool:
         return self.length > 1 and not self.n_sources() and not self.n_sinks()
@@ -193,27 +192,14 @@ def _long_multisets(l: int, genus_budget: int, codeg_budget: int) -> Iterator[Tu
 
 
 def _decorations(l: int, codeg_budget: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    def vectors(costs):
-        # integer vectors with sum(costs[v] * x[v]) <= codeg_budget, zero where cost 0 forbids
-        def rec(v, left):
-            if v == l:
-                yield ()
-                return
-            cost = costs[v]
-            top = left // cost if cost else 0
-            for x in range(top + 1):
-                for tail in rec(v + 1, left - cost * x):
-                    yield (x,) + tail
-        yield from rec(0, codeg_budget)
-
     src_costs = [v for v in range(l)]  # source at vertex v+1 costs v
     snk_costs = [l - 1 - v for v in range(l)]
     zeros = (0,) * l
-    for src in vectors(src_costs):
+    for src in bounded_vectors(src_costs, codeg_budget):
         if any(src):
             yield src, zeros
         else:
-            for snk in vectors(snk_costs):
+            for snk in bounded_vectors(snk_costs, codeg_budget):
                 yield zeros, snk
 
 
@@ -276,22 +262,12 @@ def _rooted_shapes(size: int) -> List[TreeShape]:
     if size == 1:
         return [()]
     out = set()
-    for parts in _partitions(size - 1):
-        child_lists = [
-            _rooted_shapes(p) for p in parts
-        ]
-        for combo in itertools.product(*child_lists):
-            out.add(tuple(sorted(combo)))
+    for k in range(1, size):
+        for parts in compositions(size - 1, k):
+            child_lists = [_rooted_shapes(p) for p in parts]
+            for combo in itertools.product(*child_lists):
+                out.add(tuple(sorted(combo)))
     return sorted(out)
-
-
-def _partitions(total: int, lo: int = 1) -> Iterator[Tuple[int, ...]]:
-    if total == 0:
-        yield ()
-        return
-    for first in range(lo, total + 1):
-        for tail in _partitions(total - first, first):
-            yield (first,) + tail
 
 
 def enumerate_capping_trees(a: int, n: int, max_codeg: int) -> List[CappingTree]:
@@ -308,7 +284,7 @@ def enumerate_capping_trees(a: int, n: int, max_codeg: int) -> List[CappingTree]
         tree = CappingTree(a, n, shape)
         c = tree.codeg()
         if c < 0:
-            raise AssertionError("negative capping-tree codegree")
+            raise EngineError("negative capping-tree codegree")
         if c <= max_codeg:
             out.append(tree)
     out.sort(key=lambda t: (t.codeg(), t.shape))
@@ -495,7 +471,7 @@ def reconstruct(
     polygon = make_delta_abn(a, b, n)
     errs = validate_diagram(diagram, polygon)
     if errs:
-        raise AssertionError("reconstruction produced an invalid diagram: " + "; ".join(errs))
+        raise EngineError("reconstruction produced an invalid diagram: " + "; ".join(errs))
     return diagram
 
 

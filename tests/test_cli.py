@@ -73,6 +73,15 @@ def test_engine_fault_exit_code(capsys, monkeypatch):
     assert "engine fault" in err
 
 
+def test_engine_check_failure_exit_code(capsys, monkeypatch):
+    from floordiag.templates import CappingTree
+
+    monkeypatch.setattr(CappingTree, "codeg", lambda self: -1)
+    code, _, err = run(capsys, "capping", "--a", "4", "--n", "1", "--max-codeg", "2")
+    assert code == 3
+    assert "engine fault" in err
+
+
 def test_unknown_suite_is_usage_error(capsys):
     code = main(["verify", "--suite", "bogus"])
     assert code == 2

@@ -17,7 +17,7 @@ from floordiag.diagram import (
     validate,
     vertex_automorphisms,
 )
-from floordiag.laurent import LaurentPoly
+from floordiag.laurent import EngineError, LaurentPoly
 from floordiag.polygon import HTransversePolygon, lattice_stats, make_delta_abn, make_delta_d
 
 
@@ -285,3 +285,10 @@ def test_determinism():
     first = [d.key() for d in enumerate_floor_diagrams(poly, 0)]
     assert first == sorted(first)
     assert first == [d.key() for d in enumerate_floor_diagrams(poly, 0)]
+
+
+def test_negative_codegree_is_an_engine_fault():
+    # Delta_3 has one interior point; two elevators of weight 9 give degree 16
+    d = FloorDiagram(((0, 1, 3, 0), (0, 1, 0, 0), (0, 1, 0, 0)), ((0, 1, 9), (1, 2, 9)))
+    with pytest.raises(EngineError):
+        codegree(d)

@@ -2,9 +2,11 @@ import json
 import os
 import warnings
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from floordiag import invariant
 from floordiag.diagram import enumerate_floor_diagrams
 from floordiag.invariant import (
     _cache_path,
@@ -247,8 +249,30 @@ def test_cache_roundtrip(tmp_path):
 
 def test_malformed_cache_entry_is_a_miss(tmp_path, monkeypatch):
     monkeypatch.setenv("FLOORDIAG_CACHE_DIR", str(tmp_path))
-    path = _cache_path("G", D3, "g=0;mc=None")
+    path = _cache_path("G", D3, "g=0")
     for entry in ([1, 2], {"2": "a"}):
         path.write_text(json.dumps(entry))
         assert refined_invariant(D3, 0).render() == "q + 10 + q^-1"
     assert json.loads(path.read_text()) == {"2": 1, "0": 10, "-2": 1}
+
+
+def test_entry_of_another_engine_version_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", str(tmp_path))
+    with monkeypatch.context() as m:
+        m.setattr(invariant, "ALGO_VERSION", "floordiag-1")
+        stale = _cache_path("G", D3, "g=0")
+    stale.write_text(json.dumps({"0": 99}))
+    assert refined_invariant(D3, 0).render() == "q + 10 + q^-1"
+    assert json.loads(stale.read_text()) == {"0": 99}
+    fresh = _cache_path("G", D3, "g=0")
+    assert json.loads(fresh.read_text()) == {"2": 1, "0": 10, "-2": 1}
+
+
+def test_engine_version_follows_the_source(tmp_path, monkeypatch):
+    for f in Path(invariant.__file__).parent.glob("*.py"):
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    monkeypatch.setattr(invariant, "__file__", str(tmp_path / "invariant.py"))
+    assert "floordiag-" + invariant._source_digest() == invariant.ALGO_VERSION
+    with (tmp_path / "laurent.py").open("a") as fh:
+        fh.write("\n")
+    assert "floordiag-" + invariant._source_digest() != invariant.ALGO_VERSION

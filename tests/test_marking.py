@@ -268,3 +268,10 @@ def test_inexact_automorphism_division_is_an_engine_fault(monkeypatch):
         descendant_sum(CHAIN11, frozenset())
     with pytest.raises(EngineError):
         count_markings(CHAIN11)
+
+
+def test_non_free_action_on_markings_is_an_engine_fault(monkeypatch):
+    identity = tuple(range(CHAIN11.n_floors))
+    monkeypatch.setattr(marking, "vertex_automorphisms", lambda d: [identity, identity])
+    with pytest.raises(EngineError):
+        enumerate_markings(CHAIN11)

@@ -1,10 +1,13 @@
 import pytest
 
+from floordiag import templates
 from floordiag.diagram import canonical_key, codegree, enumerate_floor_diagrams
+from floordiag.laurent import EngineError
 from floordiag.polygon import make_delta_abn
 from floordiag.templates import (
     POINT,
     AdmissibleCollection,
+    CappingTree,
     Template,
     enumerate_admissible_collections,
     enumerate_capping_trees,
@@ -191,3 +194,18 @@ def test_template_json():
     data = t.to_json()
     assert data["genus"] == 0 and data["codegree"] == 1
     assert data["short_edges_per_gap"] == [1]
+
+
+def test_negative_capping_tree_codegree_is_an_engine_fault(monkeypatch):
+    monkeypatch.setattr(CappingTree, "codeg", lambda self: -1)
+    with pytest.raises(EngineError):
+        enumerate_capping_trees(4, 1, 2)
+
+
+def test_invalid_reconstruction_is_an_engine_fault(monkeypatch):
+    monkeypatch.setattr(templates, "validate_diagram", lambda d, p: ["forced"])
+    col = AdmissibleCollection((POINT, POINT))
+    kappa = next(iter(positions(col, 4)))
+    omega = next(iter(weight_extensions(col, kappa, 4, 2, 1)))
+    with pytest.raises(EngineError):
+        reconstruct(col, kappa, omega, 4, 2, 1)
