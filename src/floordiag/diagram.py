@@ -7,18 +7,22 @@ such a labelling); isomorphic relabellings are merged through canonical
 forms.  Sources and sinks all have weight 1 and are stored as per-floor
 counts.
 
-Enumeration walks the floors bottom to top, tracking the multiset of open
-elevators; one sweep serves labelled diagrams and diagram shapes (heavy
-short elevators left free).  The key accounting identity, with iota the
-interior lattice count and E0 the internal elevator set:
+Enumeration walks the floors bottom to top for each order of the l and r
+labels, placing each floor's sources and sinks and tracking the multiset
+of open elevators; one walk serves labelled diagrams and diagram shapes
+(heavy short elevators left free).  The key accounting identity, with iota
+the interior lattice count and E0 the internal elevator set:
 
     codeg(D) = iota + a - 1 - sum(F_gap)  +  sum((span(e) - 1) * w(e))
 
 where F_gap is the total weight crossing a gap (forced by the divergence
-constraints once sources and sinks are distributed).  The first part
-depends only on the source/sink distribution, the second only on elevator
-spans, which makes both sides cheap to bound during the search.  A search
-without a codegree limit is bounded by iota - genus, since deg >= 0.
+constraints once sources and sinks are placed).  The first part depends
+only on the source/sink placement: with every source on floor 0 and every
+sink on the top floor it is _base_codegree, a source on floor m adds m and
+a sink on floor m adds a-1-m.  The second part depends only on elevator
+spans.  Both grow as the walk goes up, which makes them cheap to bound
+during the search.  A search without a codegree limit is bounded by
+iota - genus, since deg >= 0.
 """
 
 from __future__ import annotations
@@ -359,32 +363,6 @@ def _openings(
                     yield weights, k_free, free, ways
 
 
-def _source_distributions(total: int, a: int, budget: int) -> Iterator[Tuple[int, ...]]:
-    """Source placements with their displacement loss bounded by `budget`.
-
-    A source at floor m reduces the flow sum by m (it stops feeding the
-    gaps below m), so the loss of a placement is sum(m * s_m); any diagram
-    built on the placement has codegree at least base0 + loss.
-    """
-    def rec(j, left, loss):
-        if loss > budget:
-            return
-        if j == a - 1:
-            yield (left,)
-            return
-        for here in range(left + 1):
-            for tail in rec(j + 1, left - here, loss + (left - here)):
-                yield (here,) + tail
-
-    yield from rec(0, total, 0)
-
-
-def _sink_distributions(total: int, a: int, budget: int) -> Iterator[Tuple[int, ...]]:
-    """Sink placements, mirrored: a sink m floors below the top loses m."""
-    for rev in _source_distributions(total, a, budget):
-        yield tuple(reversed(rev))
-
-
 def _base_codegree(
     polygon: HTransversePolygon, ls: Sequence[int], rs: Sequence[int], iota: int
 ) -> int:
@@ -398,10 +376,6 @@ def _base_codegree(
     return iota + a - 1 - flow_sum
 
 
-def _loss(distribution: Sequence[int]) -> int:
-    return sum(m * c for m, c in enumerate(distribution))
-
-
 def _search_bound(
     polygon: HTransversePolygon, genus: int, max_codeg: Optional[int]
 ) -> Tuple[int, int]:
@@ -412,101 +386,123 @@ def _search_bound(
     return iota, bound
 
 
-Task = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
-
-FREE_WEIGHT = 10 ** 9  # sentinel weight of a free slot in a diagram shape
-
-
-def enumeration_tasks(
-    polygon: HTransversePolygon, genus: int, max_codeg: Optional[int] = None
-) -> List[Task]:
-    """Independent work items (l-labels, r-labels, sources, sinks) whose
-    codegree floor is within the search bound."""
-    a = polygon.height
-    iota, bound = _search_bound(polygon, genus, max_codeg)
-    tasks = []
-    for ls in _distinct_permutations(polygon.d_l):
-        for rs in _distinct_permutations(polygon.d_r):
-            budget = bound - _base_codegree(polygon, ls, rs, iota)
-            for src in _source_distributions(polygon.d_b, a, budget):
-                for snk in _sink_distributions(polygon.d_t, a, budget - _loss(src)):
-                    tasks.append((ls, rs, src, snk))
-    return tasks
-
-
 def run_enumeration_task(
     polygon: HTransversePolygon,
     genus: int,
-    task: Task,
+    ls: Tuple[int, ...],
+    rs: Tuple[int, ...],
     max_codeg: Optional[int] = None,
     free_above: Optional[int] = None,
 ) -> List[Tuple[FloorDiagram, int, int]]:
-    """Labelled diagrams of one task, as (diagram, assignments, codegree).
+    """Labelled diagrams whose floor j has l label ls[j] and r label rs[j],
+    as (diagram, assignments, codegree).
+
+    One walk up the floors places each floor's sources and sinks, closes
+    open elevators there and opens new ones.  A source on floor m costs m
+    and a sink on floor m costs a-1-m on top of _base_codegree; a source
+    not yet placed costs at least the next floor, which bounds the search
+    before the placement is complete.  A gap that nothing crosses, and
+    closed elevators with more independent cycles than the genus, are cut
+    where they appear; the top floor must join every component left.
 
     With free_above=None every weight is explicit and assignments is 1.
     With free_above=i (and max_codeg=i) the diagrams are shapes: elevators
-    heavier than i become free slots of weight FREE_WEIGHT, and assignments
-    counts the ordered weight assignments of the free slots.  Such an
-    elevator is always short (a longer span would already cost more than i),
-    so every diagram of codegree <= i belongs to exactly one shape.
+    heavier than i become free slots of weight i+1, and assignments counts
+    the ordered weight assignments of the free slots.  Such an elevator is
+    always short (a longer span would already cost more than i), and every
+    weight above i gives the same codegree-i term, so every diagram of
+    codegree <= i belongs to exactly one shape.
     """
-    ls, rs, sources, sinks = task
     iota, bound = _search_bound(polygon, genus, max_codeg)
     a = polygon.height
     divs = [r - l for l, r in zip(ls, rs)]
-    flows = list(itertools.accumulate(sources[j] - sinks[j] - divs[j] for j in range(a - 1)))
-    if any(f < 1 for f in flows):
-        return []
-    base = iota + a - 1 - sum(flows)
-    if base > bound:
-        return []
-    floors = tuple(zip(ls, rs, sources, sinks))
+    base = _base_codegree(polygon, ls, rs, iota)
     target_edges = a - 1 + genus
     found: List[Tuple[FloorDiagram, int, int]] = []
 
-    def rec(j, open_edges, n_free, free_in, edges, span_cost, assign):
-        # open_edges: sorted (origin, weight) pairs crossing gap j-1; the
-        # n_free free slots, carrying free_in in total, all close at floor j
-        free_edges = [(j - 1, j, FREE_WEIGHT)] * n_free
-        if j == a - 1:
-            # every open elevator closes at the top floor
-            in_w = free_in + sum(w for _, w in open_edges)
-            if (sources[j] + in_w - sinks[j] - divs[j] != 0
-                    or len(edges) + len(open_edges) + n_free != target_edges
-                    or base + span_cost > bound):
-                return
-            closing = [(o, j, w) for o, w in open_edges]
-            diagram = FloorDiagram(floors, tuple(edges + closing + free_edges))
-            if _connected(diagram):
-                found.append((diagram, assign, base + span_cost))
-            return
-        for closed in _sub_multisets(open_edges):
-            out_total = sources[j] + free_in + sum(w for _, w in closed) - sinks[j] - divs[j]
-            if out_total < 0:
-                continue
-            still_open = list(open_edges)
-            for e in closed:
-                still_open.remove(e)
-            cost = span_cost + sum(w for _, w in still_open)
-            if base + cost > bound:
-                continue
-            new_edges = edges + [(o, j, w) for o, w in closed] + free_edges
-            room = target_edges - len(new_edges) - len(still_open)
-            if room < 0:
-                continue
-            if out_total == 0:
-                rec(j + 1, tuple(still_open), 0, 0, new_edges, cost, assign)
-                continue
-            # a gap crossed by c elevators forces c-1 units of genus or span
-            # surplus, so c is capped by 1 + genus + the span allowance
-            cap = min(room, 1 + genus + bound - base - len(still_open))
-            if cap < 1:
-                continue
-            for weights, k_free, free_total, ways in _openings(out_total, cap, free_above):
-                opened = tuple(sorted(still_open + [(j, w) for w in weights]))
-                rec(j + 1, opened, k_free, free_total, new_edges, cost, assign * ways)
+    srcs, snks = [0] * a, [0] * a  # sources and sinks of the floors below j
+    # one copy of each floor list and elevator, shared by the diagrams found
+    shared: Dict[Tuple, Tuple] = {}
 
-    rec(0, (), 0, 0, [], 0, 1)
+    def rec(j, src_left, snk_left, placed, in_flow, open_edges, n_free, free_in,
+            edges, comp, cycles, span_cost, assign):
+        # open_edges: sorted (origin, weight) pairs crossing gap j-1; the
+        # n_free free slots, carrying free_in in total, all close at floor j,
+        # and in_flow is the weight of both.  placed: the placement cost of
+        # the sources and sinks below floor j.  comp labels the connected
+        # component of each floor below j under the closed elevators `edges`,
+        # which hold `cycles` independent cycles
+        free_edges = [(j - 1, j, free_above + 1)] * n_free if n_free else []
+        if j == a - 1:
+            # the top floor takes the sources and sinks left, and every open
+            # elevator closes there and must join every component
+            codeg = base + placed + j * src_left + span_cost
+            joined = {comp[o] for o, _ in open_edges}
+            if n_free:
+                joined.add(comp[j - 1])
+            if (codeg > bound or len(edges) + len(open_edges) + n_free != target_edges
+                    or len(joined) < len(set(comp))):
+                return
+            srcs[j], snks[j] = src_left, snk_left
+            floors = tuple(zip(ls, rs, srcs, snks))
+            closing = [(o, j, w) for o, w in open_edges]
+            elevators = tuple(shared.setdefault(e, e) for e in edges + closing + free_edges)
+            diagram = FloorDiagram(shared.setdefault(floors, floors), elevators)
+            found.append((diagram, assign, codeg))
+            return
+        # room only falls by openings, and cap below keeps it nonnegative
+        room = target_edges - len(edges) - n_free - len(open_edges)
+        # s sources and t sinks here: the weight crossing gap j is
+        # in_flow + s - t - divs[j], which must be >= 1 (a gap nothing crosses
+        # disconnects the diagram), and the least codegree, with every source
+        # left over placed on floor j+1, must stay within the bound
+        slack = bound - base - placed - span_cost - (j + 1) * src_left
+        for s in range(max(0, divs[j] + 1 - in_flow, -slack), src_left + 1):
+            t_max = min(snk_left, in_flow + s - divs[j] - 1, (slack + s) // (a - 1 - j))
+            for t in range(t_max + 1):
+                srcs[j], snks[j] = s, t
+                here = placed + j * s + (a - 1 - j) * t
+                flow = in_flow + s - t - divs[j]
+                least = base + here + (j + 1) * (src_left - s)
+                for closed in _sub_multisets(open_edges):
+                    out_total = s + free_in + sum(w for _, w in closed) - t - divs[j]
+                    if out_total < 0:
+                        continue
+                    still_open = list(open_edges)
+                    for e in closed:
+                        still_open.remove(e)
+                    cost = span_cost + sum(w for _, w in still_open)
+                    if least + cost > bound:
+                        continue
+                    # a subgraph has no more independent cycles than the diagram
+                    joined = {comp[o] for o, _ in closed}
+                    if n_free:
+                        joined.add(comp[j - 1])
+                    new_cycles = cycles + len(closed) + n_free - len(joined)
+                    if new_cycles > genus:
+                        continue
+                    # floor j joins the components it closes elevators from
+                    label = min(joined, default=j)
+                    if len(joined) > 1:
+                        new_comp = tuple(label if c in joined else c for c in comp) + (label,)
+                    else:
+                        new_comp = comp + (label,)
+                    new_edges = edges + [(o, j, w) for o, w in closed] + free_edges
+                    if out_total == 0:
+                        rec(j + 1, src_left - s, snk_left - t, here, flow, tuple(still_open),
+                            0, 0, new_edges, new_comp, new_cycles, cost, assign)
+                        continue
+                    # a gap crossed by c elevators forces c-1 units of genus or
+                    # span surplus, so c is capped by 1 + genus + the span allowance
+                    cap = min(room, 1 + genus + bound - least - len(still_open))
+                    if cap < 1:
+                        continue
+                    for weights, k_free, free_total, ways in _openings(out_total, cap, free_above):
+                        opened = tuple(sorted(still_open + [(j, w) for w in weights]))
+                        rec(j + 1, src_left - s, snk_left - t, here, flow, opened, k_free,
+                            free_total, new_edges, new_comp, new_cycles, cost, assign * ways)
+
+    rec(0, polygon.d_b, polygon.d_t, 0, 0, (), 0, 0, [], (), 0, 0, 1)
     return found
 
 
@@ -516,17 +512,20 @@ def _classes(
     max_codeg: Optional[int],
     free_above: Optional[int] = None,
 ) -> Dict[Tuple, Tuple[FloorDiagram, int, int]]:
-    """Canonical key -> (canonical form, assignments, codegree) over all tasks."""
+    """Canonical key -> (canonical form, assignments, codegree) over all
+    l- and r-label orders of the floors."""
     ensure_valid(polygon)
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     classes: Dict[Tuple, Tuple[FloorDiagram, int, int]] = {}
     if genus > lattice_stats(polygon).interior:
         return classes
-    for task in enumeration_tasks(polygon, genus, max_codeg):
-        for d, assign, codeg in run_enumeration_task(polygon, genus, task, max_codeg, free_above):
-            c = canonical_form(d)
-            classes.setdefault(c.key(), (c, assign, codeg))
+    for ls in _distinct_permutations(polygon.d_l):
+        for rs in _distinct_permutations(polygon.d_r):
+            for d, assign, codeg in run_enumeration_task(
+                    polygon, genus, ls, rs, max_codeg, free_above):
+                c = canonical_form(d)
+                classes.setdefault(c.key(), (c, assign, codeg))
     return classes
 
 
@@ -634,45 +633,31 @@ def op_A_minus(diagram: FloorDiagram, e1_index: int, e2: EdgeRef) -> FloorDiagra
     return _rebuild([tuple(f) for f in floors], elevs)
 
 
-def op_B_l(diagram: FloorDiagram, v1: int, v2: int) -> FloorDiagram:
-    """Swap the l labels of consecutive floors v1 < v2 with l(v1) < l(v2)."""
+def _op_B(diagram: FloorDiagram, v1: int, v2: int, side: int) -> FloorDiagram:
+    """Swap the l (side 0) or r (side 1) labels of consecutive floors v1 < v2
+    and add their difference to the elevator joining them."""
+    name = "B^" + "lr"[side]
     if not _consecutive(diagram, v1, v2):
-        raise ValueError("B^l needs consecutive floors")
-    l1, l2 = diagram.floors[v1][0], diagram.floors[v2][0]
-    if not l1 < l2:
-        raise ValueError("B^l needs l(v1) < l(v2)")
-    link = next(
-        (k for k, (i, j, _) in enumerate(diagram.elevators) if (i, j) == (v1, v2)),
-        None,
-    )
-    if link is None:
-        raise ValueError("B^l needs an elevator joining the two floors")
-    delta = l2 - l1
+        raise ValueError(name + " needs consecutive floors")
+    x1, x2 = diagram.floors[v1][side], diagram.floors[v2][side]
+    delta = x2 - x1 if side == 0 else x1 - x2
+    if delta <= 0:
+        raise ValueError(name + (" needs l(v1) < l(v2)", " needs r(v1) > r(v2)")[side])
+    # v2 covers v1 in the reachability order, so an elevator joins them
+    link = next(k for k, (i, j, _) in enumerate(diagram.elevators) if (i, j) == (v1, v2))
     floors = [list(f) for f in diagram.floors]
-    floors[v1][0], floors[v2][0] = l2, l1
+    floors[v1][side], floors[v2][side] = x2, x1
     elevs = list(diagram.elevators)
     i, j, w = elevs[link]
     elevs[link] = (i, j, w + delta)
     return _rebuild([tuple(f) for f in floors], elevs)
+
+
+def op_B_l(diagram: FloorDiagram, v1: int, v2: int) -> FloorDiagram:
+    """Swap the l labels of consecutive floors v1 < v2 with l(v1) < l(v2)."""
+    return _op_B(diagram, v1, v2, 0)
 
 
 def op_B_r(diagram: FloorDiagram, v1: int, v2: int) -> FloorDiagram:
     """Swap the r labels of consecutive floors v1 < v2 with r(v1) > r(v2)."""
-    if not _consecutive(diagram, v1, v2):
-        raise ValueError("B^r needs consecutive floors")
-    r1, r2 = diagram.floors[v1][1], diagram.floors[v2][1]
-    if not r1 > r2:
-        raise ValueError("B^r needs r(v1) > r(v2)")
-    link = next(
-        (k for k, (i, j, _) in enumerate(diagram.elevators) if (i, j) == (v1, v2)),
-        None,
-    )
-    if link is None:
-        raise ValueError("B^r needs an elevator joining the two floors")
-    delta = r1 - r2
-    floors = [list(f) for f in diagram.floors]
-    floors[v1][1], floors[v2][1] = r2, r1
-    elevs = list(diagram.elevators)
-    i, j, w = elevs[link]
-    elevs[link] = (i, j, w + delta)
-    return _rebuild([tuple(f) for f in floors], elevs)
+    return _op_B(diagram, v1, v2, 1)

@@ -184,12 +184,10 @@ def invariant_codegree_coeff(
     assignments * markings_per_assignment * coefficient in one step.
     """
     from .coeff import coeff_product_of_squares
-    from .diagram import FREE_WEIGHT, codegree_coefficient_sum
+    from .diagram import codegree_coefficient_sum
 
     def shape_term(pseudo, codeg):
-        weights = [
-            i + 1 if w == FREE_WEIGHT else w for _, _, w in pseudo.elevators
-        ]
+        weights = [w for _, _, w in pseudo.elevators]
         return count_markings(pseudo) * coeff_product_of_squares(i - codeg, weights)
 
     return codegree_coefficient_sum(polygon, genus, i, shape_term)

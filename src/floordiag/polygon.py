@@ -10,12 +10,9 @@ walked upward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
-
-from .laurent import EngineError
 
 
 @dataclass(frozen=True)
@@ -70,17 +67,23 @@ def validate(p: HTransversePolygon) -> List[str]:
         errs.append("closure fails: d_b != d_t + sum(d_r) - sum(d_l)")
         return errs
     # Row widths must stay nonnegative and the area positive.
+    widths = _row_widths(p)
+    if any(w < 0 for w in widths):
+        errs.append("boundary sides cross: some row has negative width")
+    if all(w == 0 for w in widths):
+        errs.append("degenerate polygon with zero area")
+    return errs
+
+
+def _row_widths(p: HTransversePolygon) -> List[int]:
+    """Widths of the lattice rows y = 0..a, bottom to top."""
     xl, xr = 0, p.d_b
     widths = [xr - xl]
     for l, r in zip(p.left_profile(), p.right_profile()):
         xl -= l
         xr -= r
         widths.append(xr - xl)
-    if any(w < 0 for w in widths):
-        errs.append("boundary sides cross: some row has negative width")
-    if all(w == 0 for w in widths):
-        errs.append("degenerate polygon with zero area")
-    return errs
+    return widths
 
 
 def ensure_valid(p: HTransversePolygon) -> HTransversePolygon:
@@ -150,20 +153,15 @@ def vertices(p: HTransversePolygon) -> List[Tuple[int, int]]:
 
 @lru_cache(maxsize=4096)
 def lattice_stats(p: HTransversePolygon) -> LatticeStats:
-    """Interior and boundary lattice counts via the shoelace area and Pick's theorem."""
-    vs = vertices(p)
-    m = len(vs)
-    area2 = 0
-    boundary = 0
-    for i in range(m):
-        x0, y0 = vs[i]
-        x1, y1 = vs[(i + 1) % m]
-        area2 += x0 * y1 - x1 * y0
-        boundary += math.gcd(abs(x1 - x0), abs(y1 - y0))
-    area2 = abs(area2)
-    interior = (area2 - boundary + 2) // 2
-    if (area2 - boundary + 2) % 2:
-        raise EngineError("Pick's theorem parity failure")
+    """Interior and boundary lattice counts from the row widths.
+
+    Every boundary edge joins lattice rows, so each row 0 < y < a has its
+    two end points on the boundary and w_y - 1 points inside, while the
+    bottom and top rows lie on the boundary.
+    """
+    widths = _row_widths(ensure_valid(p))
+    interior = sum(w - 1 for w in widths[1:-1])
+    boundary = p.d_b + p.d_t + 2 * p.height
     n_delta = boundary - 1
     return LatticeStats(interior, boundary, n_delta, n_delta // 2)
 

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from floordiag.diagram import (
     FloorDiagram,
@@ -17,8 +18,10 @@ from floordiag.diagram import (
     validate,
     vertex_automorphisms,
 )
+from floordiag.invariant import invariant_codegree_coeff, refined_invariant
 from floordiag.laurent import EngineError, LaurentPoly
 from floordiag.polygon import HTransversePolygon, lattice_stats, make_delta_abn, make_delta_d
+from strategies import small_polygons
 
 
 def brute_force_classes(poly, genus):
@@ -105,6 +108,25 @@ def test_bruteforce_completeness_general_polygon():
         fast = {canonical_key(d) for d in enumerate_floor_diagrams(poly, g)}
         slow = brute_force_classes(poly, g)
         assert fast == slow
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_polygons())
+def test_sweep_matches_bruteforce_on_random_polygons(poly):
+    # random labels put sources and sinks on interior floors and permute the
+    # l and r labels, which the walk places floor by floor
+    iota = lattice_stats(poly).interior
+    for g in range(min(1, iota) + 1):
+        slow = brute_force_classes(poly, g)
+        for max_codeg in (None, 0, 1, 2):
+            fast = {canonical_key(d) for d in enumerate_floor_diagrams(poly, g, max_codeg)}
+            assert fast == {
+                k for k in slow
+                if max_codeg is None or codegree(FloorDiagram(*k)) <= max_codeg
+            }
+        full = refined_invariant(poly, g)
+        for i in range(min(2, iota - g) + 1):
+            assert invariant_codegree_coeff(poly, g, i) == full.coeff2(2 * (iota - g - i))
 
 
 def test_max_codeg_restriction():
@@ -239,6 +261,27 @@ def test_op_A_plus_weighted_drop():
     assert hits > 0
 
 
+def test_op_A_plus_sink_merge():
+    # sliding the sink at v1 up along e1 drops the codegree by its weight 1
+    d = FloorDiagram(((0, 1, 3, 1), (0, 1, 0, 0)), ((0, 1, 1),))
+    after = op_A_plus(d, 0, ("snk", 0, 0))
+    assert after.floors[1][3] == 1 and after.elevators == ((0, 1, 2),)
+    assert codegree(d) - codegree(after) == 1
+    assert after.genus() == d.genus()
+    assert after.newton_polygon() == d.newton_polygon()
+
+
+def test_op_A_minus_elevator_merge():
+    # e2 = (0, 2, 2) slides down to end at v1 = 1 along e1 = (1, 2, 1)
+    d = FloorDiagram(((0, 1, 3, 0), (0, 1, 2, 0), (0, 3, 0, 0)), ((0, 2, 2), (1, 2, 1)))
+    assert validate(d, d.newton_polygon()) == []
+    after = op_A_minus(d, 1, ("elev", 0, 0))
+    assert after.elevators == ((0, 1, 2), (1, 2, 3))
+    assert codegree(d) - codegree(after) == 2
+    assert after.genus() == d.genus()
+    assert after.newton_polygon() == d.newton_polygon()
+
+
 def test_op_B_l_drop():
     # general polygon with l labels -2 below 0: swapping drops codegree by 2
     poly = HTransversePolygon((-2, 0), (0, 2), 4, 0)
@@ -273,6 +316,16 @@ def test_op_errors_on_missing_configuration():
         op_A_plus(chain, 0, ("elev", 1, 0))  # e2 adjacent to v2
     with pytest.raises(ValueError):
         op_B_l(chain, 0, 1)  # equal l labels
+    for op in (op_B_l, op_B_r):
+        with pytest.raises(ValueError):
+            op(chain, 0, 2)  # floor 1 lies between
+        with pytest.raises(ValueError):
+            op(chain, 1, 0)  # against the elevators
+    with pytest.raises(ValueError):
+        op_B_r(chain, 0, 1)  # equal r labels
+    falling = FloorDiagram(((0, 1, 3, 0), (0, 2, 0, 0)), ((0, 1, 2),))
+    with pytest.raises(ValueError):
+        op_B_r(falling, 0, 1)  # r(v1) < r(v2)
 
 
 def test_json_roundtrip():

@@ -27,8 +27,8 @@ from floordiag.polygon import (
     make_delta_abn,
     make_delta_d,
     parse_polygon,
-    validate,
 )
+from strategies import small_polygons
 
 CHAIN2 = FloorDiagram(((0, 1, 3, 0), (0, 1, 0, 0), (0, 1, 0, 0)),
                       ((0, 1, 2), (1, 2, 1)))  # the weight-2 cubic chain
@@ -237,17 +237,6 @@ def test_descendant_sum_matches_marking_oracle(literal, max_codeg, s):
         markings = enumerate_markings(d)
         for S in all_pairings(n, s):
             assert descendant_sum(d, S) == marking_oracle(d, S, markings)
-
-
-@st.composite
-def small_polygons(draw):
-    a = draw(st.integers(1, 3))
-    d_l = draw(st.lists(st.integers(-1, 1), min_size=a, max_size=a))
-    d_r = draw(st.lists(st.integers(-1, 1), min_size=a, max_size=a))
-    d_t = draw(st.integers(0, 2))
-    polygon = HTransversePolygon(tuple(d_l), tuple(d_r), d_t + sum(d_r) - sum(d_l), d_t)
-    assume(not validate(polygon))
-    return polygon
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from floordiag.polygon import (
     HTransversePolygon,
@@ -12,6 +13,7 @@ from floordiag.polygon import (
     validate,
     vertices,
 )
+from strategies import small_polygons
 
 
 def brute_force_counts(poly):
@@ -94,6 +96,18 @@ def test_general_h_transverse_polygon():
     brute_i, brute_b = brute_force_counts(p)
     assert lattice_stats(p).interior == brute_i
     assert lattice_stats(p).boundary == brute_b
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_polygons(max_height=6, max_slope=3, max_top=4))
+def test_lattice_stats_matches_bruteforce_on_random_polygons(poly):
+    stats = lattice_stats(poly)
+    assert (stats.interior, stats.boundary) == brute_force_counts(poly)
+
+
+def test_lattice_stats_rejects_invalid_polygon():
+    with pytest.raises(ValueError):
+        lattice_stats(HTransversePolygon((0,), (1,), 5, 0))  # closure fails
 
 
 def test_vertices_of_triangle():
