@@ -2,6 +2,10 @@
 template/capping censuses, golden-file verification suites, and cache
 management.
 
+The `verify` suites take every input and expected value from
+`golden/paper_examples.json` (`paper_examples()`), the one table that the
+acceptance criteria in `tests/test_acceptance.py` read as well.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 engine fault.
 """
 
@@ -179,13 +183,15 @@ def cmd_cache(args) -> int:
 # -- verification suites -------------------------------------------------------
 
 
-def _golden(name: str) -> Dict:
-    with resources.files("floordiag.golden").joinpath(name).open() as fh:
+def paper_examples() -> Dict:
+    """The paper's worked examples: inputs and expected values of every
+    suite, the one table that `verify` and the acceptance criteria read."""
+    with resources.files("floordiag.golden").joinpath("paper_examples.json").open() as fh:
         return json.load(fh)
 
 
 def _suite_paper_examples(report: List[str]) -> bool:
-    golden = _golden("paper_examples.json")
+    golden = paper_examples()
     ok = True
     for entry in golden["invariants"]:
         polygon = parse_polygon(entry["polygon"])
@@ -202,17 +208,11 @@ def _suite_paper_examples(report: List[str]) -> bool:
         report.append("%s G(0;%d): %s" % (entry["polygon"], entry["s"],
                                           "ok" if match else "got " + got.render()))
     # Table of per-class S-multiplicities for the cubic
-    polygon = make_delta_abn(3, 0, 1)
-    n_marks = lattice_stats(polygon).boundary - 1
-    pairings = [
-        frozenset((j, j + 1) for j in range(n_marks - 2 * i + 1, n_marks, 2))
-        for i in range(1, 5)
-    ]
-    rows = inv.marked_class_table(polygon, pairings)
-    table = sorted(
-        [r["mult"].render()] + [m.render() for m in r["mu"]] for r in rows
-    )
-    match = table == sorted(golden["cubic_table"])
+    table = golden["cubic_table"]
+    rows = inv.marked_class_table(
+        parse_polygon(table["polygon"]), [parse_pairing(p) for p in table["pairings"]])
+    got = sorted([r["mult"].render()] + [m.render() for m in r["mu"]] for r in rows)
+    match = got == sorted(table["rows"])
     ok &= match
     report.append("cubic marked-class table: %s" % ("ok" if match else "mismatch"))
     return ok
@@ -261,7 +261,7 @@ def _suite_identities(report: List[str]) -> bool:
 
 def _suite_monotonicity(report: List[str]) -> bool:
     ok = True
-    for literal in ("abn:3,0,1", "abn:4,0,1", "abn:2,2,1"):
+    for literal in paper_examples()["monotonicity"]:
         polygon = parse_polygon(literal)
         stats = lattice_stats(polygon)
         for i in range(stats.interior + 1):
@@ -273,9 +273,9 @@ def _suite_monotonicity(report: List[str]) -> bool:
 
 def _suite_recursion(report: List[str]) -> bool:
     ok = True
-    for literal, s_max in (("abn:4,0,1", 4), ("abn:3,0,1", 2)):
-        polygon = parse_polygon(literal)
-        for s in range(s_max + 1):
+    for entry in paper_examples()["recursion"]:
+        polygon = parse_polygon(entry["polygon"])
+        for s in range(entry["s_max"] + 1):
             r = inv.verify_recursion(polygon, s)
             ok &= r.passed
             report.append(r.line())
@@ -283,13 +283,15 @@ def _suite_recursion(report: List[str]) -> bool:
 
 
 def _suite_bijection(report: List[str]) -> bool:
+    golden = paper_examples()
     ok = True
-    for tup in ((4, 3, 1, 0, 1), (4, 3, 1, 1, 1), (3, 2, 0, 0, 1), (4, 2, 1, 0, 2)):
-        r = verify_bijection(*tup)
+    for entry in golden["bijection"]:
+        r = verify_bijection(**entry)
         ok &= r.passed
         report.append(r.line() + " " + "; ".join(r.details))
-    census = template_census(1, 2)
-    expected = {(0, 0): 1, (0, 1): 2, (0, 2): 4, (1, 0): 1, (1, 1): 3, (1, 2): 10}
+    figure = golden["template_census"]
+    census = template_census(figure["max_genus"], figure["max_codeg"])
+    expected = {(c["genus"], c["codegree"]): c["templates"] for c in figure["counts"]}
     match = census == expected
     ok &= match
     report.append("template census vs figure: %s" % ("ok" if match else "FAIL %r" % census))
@@ -298,24 +300,20 @@ def _suite_bijection(report: List[str]) -> bool:
 
 def _suite_theorem_1_7(report: List[str]) -> bool:
     ok = True
-    for literal, checks in (
-        ("abn:4,0,1", ((1, 2), (2, 4), (3, 8))),
-        ("abn:3,0,1", ((0, 1), (1, 2))),
-    ):
-        polygon = parse_polygon(literal)
-        stats = lattice_stats(polygon)
-        for i, expected in checks:
-            seq = [
-                inv.descendant_codegree_coeff(polygon, s, i)
-                for s in range(stats.s_max + 1)
-            ]
-            deriv = polyfit.discrete_derivative(seq, i)
-            good = all(v == expected for v in deriv)
-            ok &= good
-            report.append(
-                "%s i=%d derivative %s: %s"
-                % (literal, i, deriv, "ok" if good else "FAIL")
-            )
+    for entry in paper_examples()["theorem_1_7"]:
+        polygon = parse_polygon(entry["polygon"])
+        i = entry["i"]
+        seq = [
+            inv.descendant_codegree_coeff(polygon, s, i)
+            for s in range(lattice_stats(polygon).s_max + 1)
+        ]
+        deriv = polyfit.discrete_derivative(seq, i)
+        good = all(v == entry["derivative"] for v in deriv)
+        ok &= good
+        report.append(
+            "%s i=%d derivative %s: %s"
+            % (entry["polygon"], i, deriv, "ok" if good else "FAIL")
+        )
     return ok
 
 

@@ -13,7 +13,6 @@ valid on the region an+b >= i+2s, b > i, a > i.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -38,20 +37,6 @@ def _F(k: int, l: int) -> int:
         return 0
     # peel off the first part
     return sum(i1 * _F(k - 1, l - i1) for i1 in range(1, l - k + 2))
-
-
-def F_bruteforce(k: int, l: int) -> int:
-    """Direct composition enumeration; the oracle for small inputs."""
-    if k == 0:
-        return 1 if l == 0 else 0
-    total = 0
-    for parts in itertools.product(range(1, l + 1), repeat=k):
-        if sum(parts) == l:
-            p = 1
-            for x in parts:
-                p *= x
-            total += p
-    return total
 
 
 def Phi(l: int, k: int) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .laurent import EngineError, LaurentPoly, prod, quantum_integer
@@ -239,14 +239,6 @@ def vertex_automorphisms(diagram: FloorDiagram) -> List[Tuple[int, ...]]:
         for p in _floor_order_extensions(diagram)
         if _relabel(diagram, p).key() == diagram.key()
     ]
-
-
-def automorphism_count(diagram: FloorDiagram) -> int:
-    """Order of the floor/elevator automorphism group (monovalent edges unlabelled)."""
-    count = len(vertex_automorphisms(diagram))
-    for _, group in itertools.groupby(diagram.elevators):
-        count *= factorial(len(list(group)))
-    return count
 
 
 # -- enumeration ------------------------------------------------------------
@@ -517,6 +509,8 @@ def _classes(
     ensure_valid(polygon)
     if genus < 0:
         raise ValueError("genus must be nonnegative")
+    if max_codeg is not None and max_codeg < 0:
+        raise ValueError("codegree bound must be nonnegative")
     classes: Dict[Tuple, Tuple[FloorDiagram, int, int]] = {}
     if genus > lattice_stats(polygon).interior:
         return classes

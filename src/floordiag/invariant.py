@@ -27,6 +27,7 @@ from .marking import (
     count_markings,
     descendant_sum,
     enumerate_markings,
+    make_pairing,
     mu_S,
 )
 from .polygon import HTransversePolygon, chop_top, lattice_stats
@@ -144,12 +145,9 @@ def refined_descendant(
         return LaurentPoly.zero()
     if pairing is None:
         pairing = canonical_pairing(s)
+    pairing = make_pairing(pairing, stats.boundary - 1)
     if len(pairing) != s:
         raise ValueError("pairing order %d does not match s=%d" % (len(pairing), s))
-    n_marks = stats.boundary - 1
-    for i, j in pairing:
-        if not (1 <= i and j <= n_marks):
-            raise ValueError("pair %r outside {1..%d}" % ((i, j), n_marks))
 
     def compute() -> LaurentPoly:
         total = LaurentPoly.zero()

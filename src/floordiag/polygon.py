@@ -113,44 +113,6 @@ def make_delta_d(d: int) -> HTransversePolygon:
     return make_delta_abn(d, 0, 1)
 
 
-def vertices(p: HTransversePolygon) -> List[Tuple[int, int]]:
-    """Boundary vertex loop, counterclockwise from (0,0), collinear points dropped."""
-    ensure_valid(p)
-    a = p.height
-    pts: List[Tuple[int, int]] = [(0, 0)]
-    if p.d_b:
-        pts.append((p.d_b, 0))
-    x = p.d_b
-    for y, r in enumerate(p.right_profile(), start=1):
-        x -= r
-        pts.append((x, y))
-    if p.d_t:
-        pts.append((x - p.d_t, a))
-    # left side from top to bottom
-    x_left = [0]
-    for l in p.left_profile():
-        x_left.append(x_left[-1] - l)
-    for y in range(a - 1, 0, -1):
-        pts.append((x_left[y], y))
-    # dedupe consecutive equal points and collinear runs
-    out: List[Tuple[int, int]] = []
-    for q in pts:
-        if out and q == out[-1]:
-            continue
-        out.append(q)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    merged: List[Tuple[int, int]] = []
-    m = len(out)
-    for i, q in enumerate(out):
-        prev = out[(i - 1) % m]
-        nxt = out[(i + 1) % m]
-        cross = (q[0] - prev[0]) * (nxt[1] - q[1]) - (q[1] - prev[1]) * (nxt[0] - q[0])
-        if cross != 0:
-            merged.append(q)
-    return merged
-
-
 @lru_cache(maxsize=4096)
 def lattice_stats(p: HTransversePolygon) -> LatticeStats:
     """Interior and boundary lattice counts from the row widths.

@@ -8,24 +8,20 @@ import math
 import time
 from fractions import Fraction
 
-import pytest
-
+from floordiag.cli import SUITES, paper_examples
 from floordiag.coeff import coeff_closed_form, in_region_U
-from floordiag.diagram import enumerate_floor_diagrams
 from floordiag.invariant import (
     descendant_codegree_coeff,
     invariant_codegree_coeff,
     marked_class_table,
     refined_descendant,
     refined_invariant,
-    verify_monotonicity,
     verify_pairing_independence,
-    verify_recursion,
 )
 from floordiag.laurent import LaurentPoly
-from floordiag.marking import all_pairings
-from floordiag.polyfit import discrete_derivative, interpolate, verify_polynomiality
-from floordiag.polygon import lattice_stats, make_delta_abn, make_delta_d
+from floordiag.marking import parse_pairing
+from floordiag.polyfit import discrete_derivative, verify_polynomiality
+from floordiag.polygon import lattice_stats, make_delta_abn, make_delta_d, parse_polygon
 from floordiag.templates import (
     enumerate_capping_trees,
     enumerate_templates,
@@ -36,46 +32,44 @@ from floordiag.templates import (
 D3 = make_delta_d(3)
 D4 = make_delta_d(4)
 
-QUARTIC = {
-    0: {6: 1, 4: 13, 2: 94, 0: 404},
-    1: {6: 1, 4: 11, 2: 70, 0: 264},
-    2: {6: 1, 4: 9, 2: 50, 0: 164},
-    3: {6: 1, 4: 7, 2: 34, 0: 96},
-    4: {6: 1, 4: 5, 2: 22, 0: 52},
-    5: {6: 1, 4: 3, 2: 14, 0: 24},
-}
+# The paper's worked examples, shared with `floordiag verify`.
+GOLDEN = paper_examples()
 
 
-def symmetric(half):
-    full = dict(half)
-    for e2, v in half.items():
-        full[-e2] = v
-    return LaurentPoly(full)
+def golden_values(section, polygon):
+    """{genus or s: value} of the `invariants` or `descendants` entries for polygon."""
+    param = "genus" if section == "invariants" else "s"
+    values = {
+        e[param]: LaurentPoly.from_json(e["value"])
+        for e in GOLDEN[section]
+        if parse_polygon(e["polygon"]) == polygon
+    }
+    assert values, "no %s entries for %s" % (section, polygon.key())
+    return values
 
 
-def report(name, passed, started):
+def run_suite(name):
+    """Run a `verify` suite; (passed, its report lines)."""
+    lines = []
+    return SUITES[name](lines), lines
+
+
+def report(name, passed, started, lines=()):
     line = "%s %s (%.2fs)" % ("PASS" if passed else "FAIL", name, time.monotonic() - started)
     print(line)
-    assert passed, line
+    assert passed, "\n  ".join([line, *lines])
 
 
 def test_criterion_01_cubic():
     t0 = time.monotonic()
-    ok = refined_invariant(D3, 1) == LaurentPoly.one()
-    ok &= refined_invariant(D3, 0) == symmetric({2: 1, 0: 10})
+    ok = all(refined_invariant(D3, g) == v for g, v in golden_values("invariants", D3).items())
     elapsed = time.monotonic() - t0
     report("criterion 1: cubic invariants, %0.2fs < 1s" % elapsed, ok and elapsed < 1.0, t0)
 
 
 def test_criterion_02_quartic_invariants():
     t0 = time.monotonic()
-    expected = {
-        0: symmetric(QUARTIC[0]),
-        1: symmetric({4: 3, 2: 33, 0: 153}),
-        2: symmetric({2: 3, 0: 21}),
-        3: LaurentPoly.one(),
-    }
-    ok = all(refined_invariant(D4, g) == expected[g] for g in range(4))
+    ok = all(refined_invariant(D4, g) == v for g, v in golden_values("invariants", D4).items())
     elapsed = time.monotonic() - t0
     report("criterion 2: quartic invariants, %0.2fs < 10s" % elapsed, ok and elapsed < 10.0, t0)
 
@@ -83,7 +77,7 @@ def test_criterion_02_quartic_invariants():
 def test_criterion_03_quartic_descendants():
     t0 = time.monotonic()
     ok = all(
-        refined_descendant(D4, s) == symmetric(QUARTIC[s]) for s in range(6)
+        refined_descendant(D4, s) == v for s, v in golden_values("descendants", D4).items()
     )
     elapsed = time.monotonic() - t0
     report("criterion 3: quartic descendants, %0.2fs < 30s" % elapsed, ok and elapsed < 30.0, t0)
@@ -92,33 +86,13 @@ def test_criterion_03_quartic_descendants():
 def test_criterion_04_cubic_descendants_and_table():
     t0 = time.monotonic()
     ok = all(
-        refined_descendant(D3, s) == symmetric({2: 1, 0: 10 - 2 * s})
-        for s in range(5)
+        refined_descendant(D3, s) == v for s, v in golden_values("descendants", D3).items()
     )
-    n_marks = lattice_stats(D3).boundary - 1
-    pairings = [
-        frozenset((j, j + 1) for j in range(n_marks - 2 * i + 1, n_marks, 2))
-        for i in range(1, 5)
-    ]
-    rows = marked_class_table(D3, pairings)
-    ok &= len(rows) == 9
-    weighted = [r for r in rows if r["mult"].render() == "q + 2 + q^-1"]
-    ok &= len(weighted) == 1
-    ok &= [m.render() for m in weighted[0]["mu"]] == [
-        "q + 2 + q^-1", "q + q^-1", "q + q^-1", "q + q^-1",
-    ]
-    all_zero = [
-        r for r in rows if all(m.is_zero() for m in r["mu"])
-    ]
-    ok &= len(all_zero) == 2
-    table = sorted(tuple(m.render() for m in r["mu"]) for r in rows)
-    ok &= table == sorted([
-        ("q + 2 + q^-1", "q + q^-1", "q + q^-1", "q + q^-1"),
-        ("1", "1", "1", "1"), ("1", "1", "1", "1"),
-        ("1", "1", "1", "0"), ("1", "1", "1", "0"),
-        ("1", "1", "0", "0"), ("1", "1", "0", "0"),
-        ("0", "0", "0", "0"), ("0", "0", "0", "0"),
-    ])
+    table = GOLDEN["cubic_table"]
+    ok &= parse_polygon(table["polygon"]) == D3
+    rows = marked_class_table(D3, [parse_pairing(p) for p in table["pairings"]])
+    got = sorted([r["mult"].render()] + [m.render() for m in r["mu"]] for r in rows)
+    ok &= got == sorted(table["rows"])
     report("criterion 4: cubic descendants and the marked-class table", ok, t0)
 
 
@@ -179,20 +153,15 @@ def test_criterion_07_projective_plane_family():
 
 def test_criterion_08_discrete_derivatives():
     t0 = time.monotonic()
-    seqs4 = {
-        i: [refined_descendant(D4, s).codegree_coeff(i) for s in range(6)]
-        for i in (1, 2, 3)
-    }
-    ok = seqs4[3] == [404, 264, 164, 96, 52, 24]
-    ok &= discrete_derivative(seqs4[3], 3) == [8, 8, 8]
-    ok &= discrete_derivative(seqs4[1], 1) == [2] * 5
-    ok &= discrete_derivative(seqs4[2], 2) == [4] * 4
-    seqs3 = {
-        i: [refined_descendant(D3, s).codegree_coeff(i) for s in range(5)]
-        for i in (0, 1)
-    }
-    ok &= discrete_derivative(seqs3[0], 0) == [1] * 5
-    ok &= discrete_derivative(seqs3[1], 1) == [2] * 4
+    ok = True
+    for entry in GOLDEN["theorem_1_7"]:
+        poly = parse_polygon(entry["polygon"])
+        i = entry["i"]
+        golden = golden_values("descendants", poly)
+        s_range = range(lattice_stats(poly).s_max + 1)
+        seq = [refined_descendant(poly, s).codegree_coeff(i) for s in s_range]
+        ok &= seq == [golden[s].codegree_coeff(i) for s in s_range]
+        ok &= discrete_derivative(seq, i) == [entry["derivative"]] * (len(seq) - i)
     elapsed = time.monotonic() - t0
     report(
         "criterion 8: discrete derivatives constant at 2^i, %0.2fs < 1s" % elapsed,
@@ -203,9 +172,8 @@ def test_criterion_08_discrete_derivatives():
 
 def test_criterion_09_recursion():
     t0 = time.monotonic()
-    ok = all(verify_recursion(D4, s).passed for s in range(5))
-    ok &= all(verify_recursion(D3, s).passed for s in range(3))
-    report("criterion 9: chopped-top recursion for the quartic and cubic", ok, t0)
+    ok, lines = run_suite("recursion")
+    report("criterion 9: chopped-top recursion for the quartic and cubic", ok, t0, lines)
 
 
 def test_criterion_10_pairing_independence():
@@ -218,28 +186,24 @@ def test_criterion_10_pairing_independence():
 
 def test_criterion_11_monotonicity():
     t0 = time.monotonic()
-    ok = True
-    for poly in (D3, D4, make_delta_abn(2, 2, 1)):
-        iota = lattice_stats(poly).interior
-        for i in range(iota + 1):
-            ok &= verify_monotonicity(poly, i).passed
-    report("criterion 11: monotone codegree chains", ok, t0)
+    ok, lines = run_suite("monotonicity")
+    report("criterion 11: monotone codegree chains", ok, t0, lines)
 
 
 def test_criterion_12_template_census():
     t0 = time.monotonic()
-    census = template_census(1, 2)
-    ok = census == {(0, 0): 1, (0, 1): 2, (0, 2): 4, (1, 0): 1, (1, 1): 3, (1, 2): 10}
+    figure = GOLDEN["template_census"]
+    census = template_census(figure["max_genus"], figure["max_codeg"])
+    ok = census == {(c["genus"], c["codegree"]): c["templates"] for c in figure["counts"]}
     elapsed = time.monotonic() - t0
     report("criterion 12: template census, %0.2fs < 10s" % elapsed, ok and elapsed < 10.0, t0)
 
 
 def test_criterion_13_bijection_and_bounds():
     t0 = time.monotonic()
-    ok = True
-    for tup in ((4, 3, 1, 0, 1), (4, 3, 1, 1, 1), (3, 2, 0, 0, 1), (4, 2, 1, 0, 2)):
-        ok &= verify_bijection(*tup).passed
-    for t in enumerate_templates(1, 2):
+    ok = all(verify_bijection(**entry).passed for entry in GOLDEN["bijection"])
+    figure = GOLDEN["template_census"]
+    for t in enumerate_templates(figure["max_genus"], figure["max_codeg"]):
         ok &= t.codeg() + t.genus() >= t.length - 1
     for a in (3, 4, 5):
         for n in (1, 2):
@@ -250,27 +214,8 @@ def test_criterion_13_bijection_and_bounds():
 
 def test_criterion_14_quantum_identities():
     t0 = time.monotonic()
-    from floordiag.laurent import divide_exact, poly_geq, prod, quantum_integer as q
-
-    ok = True
-    K = 12
-    for k in range(1, K + 1):
-        for l in range(0, K + 1):
-            rhs = LaurentPoly.zero()
-            for c in range(k):
-                rhs = rhs + q(2 * k + l - 1 - 2 * c)
-            ok &= q(k) * q(k + l) == rhs
-        ok &= divide_exact(q(2 * k), q(2)) == q(k).substitute_q_squared()
-    for k in range(1, K + 1):
-        for l in range(1, K + 1):
-            lhs = q(k) * q(k + l - 1)
-            rhs = q(l) if k == 1 else q(k - 1) * q(k + l) + q(l)
-            ok &= lhs == rhs
-            ok &= poly_geq(
-                prod([q(k), q(k), q(l), q(l)]),
-                divide_exact(prod([q(k), q(l), q(k + l)]), q(2)),
-            )
-    report("criterion 14: quantum-integer identity suite (K=12)", ok, t0)
+    ok, lines = run_suite("identities")
+    report("criterion 14: quantum-integer identity suite (K=12)", ok, t0, lines)
 
 
 def test_criterion_15_polynomiality_substitute():

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from floordiag import cli
 from floordiag.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def run(capsys, *argv):
@@ -135,6 +139,29 @@ def test_verify_identities(capsys):
 def test_verify_recursion(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "recursion")
     assert code == 0
+
+
+def test_verify_all_prints_the_pinned_report(capsys):
+    pinned = json.loads(REFERENCE.read_text())["cli_session"]["verify --suite all"]["stdout"]
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert out == pinned
+
+
+def test_verify_fails_on_a_changed_table_entry(capsys, monkeypatch):
+    table = cli.paper_examples()
+    table["invariants"][0]["value"]["0"] += 1
+    monkeypatch.setattr(cli, "paper_examples", lambda: table)
+    code, out, _ = run(capsys, "verify", "--suite", "paper-examples")
+    assert code == 1
+    assert out.startswith("FAIL suite paper-examples\n")
+
+
+def test_fit_negative_codegree_is_usage_error(capsys):
+    code, _, err = run(capsys, "fit", "--i", "-1", "--genus", "1",
+                       "--grid", "a=4..7,b=1..3,n=1..3")
+    assert code == 2
+    assert "error" in err
 
 
 def test_fit_exit_code(capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from floordiag.coeff import (
     F,
-    F_bruteforce,
     Phi,
     UVector,
     build_D,
@@ -20,6 +19,20 @@ from floordiag.laurent import prod, quantum_integer
 from floordiag.marking import canonical_pairing, enumerate_markings, is_compatible
 from floordiag.polyfit import interpolate
 from floordiag.polygon import make_delta_abn
+
+
+def F_bruteforce(k, l):
+    """Direct composition enumeration; the oracle for small inputs."""
+    if k == 0:
+        return 1 if l == 0 else 0
+    total = 0
+    for parts in itertools.product(range(1, l + 1), repeat=k):
+        if sum(parts) == l:
+            p = 1
+            for x in parts:
+                p *= x
+            total += p
+    return total
 
 
 def test_F_against_bruteforce():

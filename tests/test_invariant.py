@@ -106,6 +106,17 @@ def test_explicit_pairing_matches_default():
     assert refined_descendant(D4, 1, pairing=S) == refined_descendant(D4, 1)
 
 
+@pytest.mark.parametrize("pairing", [
+    frozenset({(1, 2), (2, 3)}),  # overlapping
+    frozenset({(1, 3)}),  # not consecutive
+    frozenset({(11, 12)}),  # past the 11 marks of the quartic
+])
+def test_malformed_pairing_is_rejected(pairing, monkeypatch):
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    with pytest.raises(ValueError):
+        refined_descendant(D4, len(pairing), pairing=pairing)
+
+
 def test_pairing_independence_reports():
     for s in (1, 2):
         rep = verify_pairing_independence(D3, s)
@@ -184,6 +195,16 @@ def test_truncated_descendant_matches_marking_oracle(literal, monkeypatch):
             top = {e2: v for e2, v in full.key() if e2 >= 2 * (stats.interior - i)}
             got = refined_descendant(polygon, len(S), pairing=S, max_codeg=i)
             assert got == LaurentPoly(top)
+
+
+def test_negative_codegree_bound_is_rejected(monkeypatch):
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    with pytest.raises(ValueError):
+        invariant_codegree_coeff(D4, 0, -1)
+    with pytest.raises(ValueError):
+        descendant_codegree_coeff(D4, 0, -1)
+    with pytest.raises(ValueError):
+        refined_descendant(D4, 0, max_codeg=-1)
 
 
 def test_leading_coefficient_binomials():

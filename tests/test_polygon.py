@@ -6,14 +6,52 @@ from hypothesis import given, settings
 from floordiag.polygon import (
     HTransversePolygon,
     chop_top,
+    ensure_valid,
     lattice_stats,
     make_delta_abn,
     make_delta_d,
     parse_polygon,
     validate,
-    vertices,
 )
 from strategies import small_polygons
+
+
+def vertices(p):
+    """Boundary vertex loop, counterclockwise from (0,0), collinear points dropped."""
+    ensure_valid(p)
+    a = p.height
+    pts = [(0, 0)]
+    if p.d_b:
+        pts.append((p.d_b, 0))
+    x = p.d_b
+    for y, r in enumerate(p.right_profile(), start=1):
+        x -= r
+        pts.append((x, y))
+    if p.d_t:
+        pts.append((x - p.d_t, a))
+    # left side from top to bottom
+    x_left = [0]
+    for l in p.left_profile():
+        x_left.append(x_left[-1] - l)
+    for y in range(a - 1, 0, -1):
+        pts.append((x_left[y], y))
+    # dedupe consecutive equal points and collinear runs
+    out = []
+    for q in pts:
+        if out and q == out[-1]:
+            continue
+        out.append(q)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    merged = []
+    m = len(out)
+    for i, q in enumerate(out):
+        prev = out[(i - 1) % m]
+        nxt = out[(i + 1) % m]
+        cross = (q[0] - prev[0]) * (nxt[1] - q[1]) - (q[1] - prev[1]) * (nxt[0] - q[0])
+        if cross != 0:
+            merged.append(q)
+    return merged
 
 
 def brute_force_counts(poly):
