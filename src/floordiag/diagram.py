@@ -3,15 +3,18 @@
 A floor diagram for an h-transverse polygon is a connected weighted acyclic
 oriented multigraph.  Floors are stored with labels 0..a-1 chosen so that
 every internal elevator goes from a lower to a higher label (any DAG admits
-such a labelling); isomorphic relabellings are merged through canonical
-forms.  Sources and sinks all have weight 1 and are stored as per-floor
-counts.
+such a labelling).  Sources and sinks all have weight 1 and are stored as
+per-floor counts.
 
 Enumeration walks the floors bottom to top for each order of the l and r
 labels, placing each floor's sources and sinks and tracking the multiset
-of open elevators; one walk serves labelled diagrams and diagram shapes
-(heavy short elevators left free).  The key accounting identity, with iota
-the interior lattice count and E0 the internal elevator set:
+of open elevators; it yields every labelled diagram once.  One walk serves
+labelled diagrams and diagram shapes (heavy short elevators left free).
+enumerate_floor_diagrams merges isomorphic labellings through canonical
+forms; codegree_coefficient_sum sums over the labelled shapes as they come,
+so the codegree path needs no canonical forms or automorphisms.  The key
+accounting identity, with iota the interior lattice count and E0 the
+internal elevator set:
 
     codeg(D) = iota + a - 1 - sum(F_gap)  +  sum((span(e) - 1) * w(e))
 
@@ -498,29 +501,24 @@ def run_enumeration_task(
     return found
 
 
-def _classes(
+def _labelled(
     polygon: HTransversePolygon,
     genus: int,
     max_codeg: Optional[int],
     free_above: Optional[int] = None,
-) -> Dict[Tuple, Tuple[FloorDiagram, int, int]]:
-    """Canonical key -> (canonical form, assignments, codegree) over all
-    l- and r-label orders of the floors."""
+) -> Iterator[Tuple[FloorDiagram, int, int]]:
+    """(labelled diagram, assignments, codegree) over all l- and r-label
+    orders of the floors; each labelled diagram comes once."""
     ensure_valid(polygon)
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     if max_codeg is not None and max_codeg < 0:
         raise ValueError("codegree bound must be nonnegative")
-    classes: Dict[Tuple, Tuple[FloorDiagram, int, int]] = {}
     if genus > lattice_stats(polygon).interior:
-        return classes
+        return
     for ls in _distinct_permutations(polygon.d_l):
         for rs in _distinct_permutations(polygon.d_r):
-            for d, assign, codeg in run_enumeration_task(
-                    polygon, genus, ls, rs, max_codeg, free_above):
-                c = canonical_form(d)
-                classes.setdefault(c.key(), (c, assign, codeg))
-    return classes
+            yield from run_enumeration_task(polygon, genus, ls, rs, max_codeg, free_above)
 
 
 def enumerate_floor_diagrams(
@@ -534,8 +532,11 @@ def enumerate_floor_diagrams(
     With max_codeg set, only classes of codegree <= max_codeg are produced
     (exactly the ones contributing to the top max_codeg+1 coefficients).
     """
-    classes = _classes(polygon, genus, max_codeg)
-    return [classes[k][0] for k in sorted(classes)]
+    classes: Dict[Tuple, FloorDiagram] = {}
+    for d, _, _ in _labelled(polygon, genus, max_codeg):
+        c = canonical_form(d)
+        classes.setdefault(c.key(), c)
+    return [classes[k] for k in sorted(classes)]
 
 
 def codegree_coefficient_sum(
@@ -544,13 +545,17 @@ def codegree_coefficient_sum(
     i: int,
     shape_term,
 ) -> int:
-    """Sum shape_term(pseudo_diagram, shape_codegree) times the number of
-    ordered free-weight assignments, over all isomorphism classes of shapes
-    of codegree <= i.  The caller's term must be constant across the free
-    weights of a shape."""
+    """Sum shape_term(labelled_shape, shape_codegree) times the number of
+    ordered free-weight assignments, over the labelled shapes of codegree
+    <= i of every label order.
+
+    Each isomorphism class of shapes appears once per distinct labelling,
+    so the caller's term sums over the labellings of a class to the class
+    term; it must also be constant across the free weights of a shape.
+    """
     return sum(
         assign * shape_term(d, codeg)
-        for d, assign, codeg in _classes(polygon, genus, i, free_above=i).values()
+        for d, assign, codeg in _labelled(polygon, genus, i, free_above=i)
     )
 
 

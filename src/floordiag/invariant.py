@@ -24,6 +24,7 @@ from .marking import (
     Pairing,
     all_pairings,
     canonical_pairing,
+    count_labelled_extensions,
     count_markings,
     descendant_sum,
     enumerate_markings,
@@ -173,20 +174,24 @@ def descendant_codegree_coeff(polygon: HTransversePolygon, s: int, i: int) -> in
 
 def invariant_codegree_coeff(
     polygon: HTransversePolygon, genus: int, i: int) -> int:
-    """coef_i G_Delta(g) via batched shape enumeration.
+    """coef_i G_Delta(g) as a sum over labelled shapes.
 
-    Diagram classes are grouped by their small-weight pattern; within a
-    shape both the marking count (reduced extensions over ordered weight
-    assignments) and the codegree-(i - codeg) coefficient of prod [w]^2
-    (the composition-sum shortcut) are constant, so each shape contributes
-    assignments * markings_per_assignment * coefficient in one step.
+    Relabelling each marked class by the order its marking gives the floors
+    turns the sum over classes into a sum over labelled diagrams L of
+    mult(L) times the reduced linear extensions of L that keep the floors
+    in label order (the labelled floor diagrams of Fomin-Mikhalkin).
+    Diagrams are grouped into shapes by their small-weight pattern; within
+    a shape both that extension count and the codegree-(i - codeg)
+    coefficient of prod [w]^2 (the composition-sum shortcut) are constant,
+    so each labelled shape contributes assignments * extensions *
+    coefficient in one step, with no canonical forms or automorphisms.
     """
     from .coeff import coeff_product_of_squares
     from .diagram import codegree_coefficient_sum
 
     def shape_term(pseudo, codeg):
         weights = [w for _, _, w in pseudo.elevators]
-        return count_markings(pseudo) * coeff_product_of_squares(i - codeg, weights)
+        return count_labelled_extensions(pseudo) * coeff_product_of_squares(i - codeg, weights)
 
     return codegree_coefficient_sum(polygon, genus, i, shape_term)
 

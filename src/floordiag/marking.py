@@ -7,12 +7,18 @@ parallel elevators of equal weight are interchangeable under diagram
 automorphisms, so extensions are enumerated in a reduced form where each
 such group appears in a fixed internal order; dividing the reduced count
 by the number of floor automorphisms gives the number of marked classes.
+
+A marking orders the floors, and relabelling the diagram by that order
+gives one of its labellings.  So the marked classes of a diagram are also
+counted, without automorphisms, by summing over its distinct labellings
+the reduced extensions that keep the floors in label order
+(count_labelled_extensions, a DP over the gaps between floors).
 """
 
 from __future__ import annotations
 
 import itertools
-from math import factorial
+from math import comb, factorial
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import FloorDiagram, vertex_automorphisms
@@ -154,38 +160,51 @@ def enumerate_markings(diagram: FloorDiagram) -> List[Marking]:
     return reps
 
 
-def _ordinal_chain_count(diagram: FloorDiagram) -> Optional[int]:
-    """Reduced extension count for the ordinal-sum shape: all elevators
-    between consecutive floors, sources only at the bottom floor, sinks only
-    at the top.  The poset is then floor < bundle < floor < ... and the
-    count is a product of per-bundle multinomials."""
-    a = diagram.n_floors
-    if any(j != i + 1 for i, j, _ in diagram.elevators):
-        return None
-    for v, (_, _, s, t) in enumerate(diagram.floors):
-        if (s and v != 0) or (t and v != a - 1):
-            return None
-    total = 1
-    for gap in range(a - 1):
-        weights = [w for i, j, w in diagram.elevators if i == gap]
-        if not weights:
-            return None  # disconnected; not a valid diagram anyway
-        bundle = factorial(len(weights))
-        for _, group in itertools.groupby(sorted(weights)):
-            bundle //= factorial(len(list(group)))
-        total *= bundle
-    return total
-
-
 def count_markings(diagram: FloorDiagram) -> int:
     """Number of marked classes: reduced extensions / floor automorphisms."""
-    total = _ordinal_chain_count(diagram)
-    if total is None:
-        total = count_reduced_extensions(diagram)
+    total = count_reduced_extensions(diagram)
     auts = len(vertex_automorphisms(diagram))
     if total % auts:
         raise EngineError("automorphism action on markings is not free")
     return total // auts
+
+
+def count_labelled_extensions(diagram: FloorDiagram) -> int:
+    """Reduced linear extensions that place the floors in label order.
+
+    Slot k lies below floor k and slot a above the top floor.  An elevator
+    (i, j) goes in one of the slots i+1..j, a source on floor v in one of
+    0..v and a sink on floor v in one of v+1..a, and m elements in one slot
+    have m! orders.  The sweep over the slots keys each state by the number
+    of unplaced elements per last slot.  It tells interchangeable copies
+    apart, so each group of c copies is divided out by c! at the end.
+    """
+    a = diagram.n_floors
+    # arrivals[k][h]: elements whose slots run from k to h
+    arrivals = [[0] * (a + 1) for _ in range(a + 1)]
+    copies = 1
+    for (i, j, _), group in itertools.groupby(diagram.elevators):
+        c = len(list(group))
+        arrivals[i + 1][j] += c
+        copies *= factorial(c)
+    for v, (_, _, s, t) in enumerate(diagram.floors):
+        arrivals[0][v] += s
+        arrivals[v + 1][a] += t
+        copies *= factorial(s) * factorial(t)
+    # unplaced counts for the last slots k..a
+    states: Dict[Tuple[int, ...], int] = {(0,) * (a + 1): 1}
+    for k in range(a + 1):
+        after: Dict[Tuple[int, ...], int] = {}
+        for unplaced, ways in states.items():
+            due, *later = (u + n for u, n in zip(unplaced, arrivals[k][k:]))
+            for taken in itertools.product(*(range(u + 1) for u in later)):
+                w = ways * factorial(due + sum(taken))
+                for u, x in zip(later, taken):
+                    w *= comb(u, x)
+                left = tuple(u - x for u, x in zip(later, taken))
+                after[left] = after.get(left, 0) + w
+        states = after
+    return states[()] // copies
 
 
 # -- pairings ----------------------------------------------------------------

@@ -273,6 +273,8 @@ def _rooted_shapes(size: int) -> List[TreeShape]:
 def enumerate_capping_trees(a: int, n: int, max_codeg: int) -> List[CappingTree]:
     """All capping trees with `a` floors and divergence n at every floor but
     the root, of codegree <= max_codeg.  Empty when n(a-2) > max_codeg."""
+    if max_codeg < 0:
+        raise ValueError("codegree bound must be nonnegative")
     if a < 3:
         return []  # the root must disconnect the tree, so it needs >= 2 children
     if n < 1:

@@ -8,7 +8,7 @@ import math
 import time
 from fractions import Fraction
 
-from floordiag.cli import SUITES, paper_examples
+from floordiag.cli import SUITES
 from floordiag.coeff import coeff_closed_form, in_region_U
 from floordiag.invariant import (
     descendant_codegree_coeff,
@@ -18,7 +18,6 @@ from floordiag.invariant import (
     refined_invariant,
     verify_pairing_independence,
 )
-from floordiag.laurent import LaurentPoly
 from floordiag.marking import parse_pairing
 from floordiag.polyfit import discrete_derivative, verify_polynomiality
 from floordiag.polygon import lattice_stats, make_delta_abn, make_delta_d, parse_polygon
@@ -28,24 +27,10 @@ from floordiag.templates import (
     template_census,
     verify_bijection,
 )
+from golden import GOLDEN, golden_values
 
 D3 = make_delta_d(3)
 D4 = make_delta_d(4)
-
-# The paper's worked examples, shared with `floordiag verify`.
-GOLDEN = paper_examples()
-
-
-def golden_values(section, polygon):
-    """{genus or s: value} of the `invariants` or `descendants` entries for polygon."""
-    param = "genus" if section == "invariants" else "s"
-    values = {
-        e[param]: LaurentPoly.from_json(e["value"])
-        for e in GOLDEN[section]
-        if parse_polygon(e["polygon"]) == polygon
-    }
-    assert values, "no %s entries for %s" % (section, polygon.key())
-    return values
 
 
 def run_suite(name):

@@ -1,8 +1,6 @@
 import json
 from pathlib import Path
 
-import pytest
-
 from floordiag import cli
 from floordiag.cli import main
 
@@ -158,10 +156,11 @@ def test_verify_fails_on_a_changed_table_entry(capsys, monkeypatch):
 
 
 def test_fit_negative_codegree_is_usage_error(capsys):
-    code, _, err = run(capsys, "fit", "--i", "-1", "--genus", "1",
-                       "--grid", "a=4..7,b=1..3,n=1..3")
-    assert code == 2
-    assert "error" in err
+    for argv in (["fit", "--i", "-1", "--genus", "1", "--grid", "a=4..7,b=1..3,n=1..3"],
+                 ["capping", "--a", "4", "--n", "1", "--max-codeg", "-1"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "error" in err
 
 
 def test_fit_exit_code(capsys):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from floordiag.diagram import (
     FloorDiagram,
-    canonical_form,
     canonical_key,
     codegree,
     enumerate_floor_diagrams,

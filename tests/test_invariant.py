@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from floordiag import invariant
+from floordiag import diagram, invariant, marking
 from floordiag.diagram import enumerate_floor_diagrams
 from floordiag.invariant import (
     _cache_path,
@@ -29,34 +29,20 @@ from floordiag.marking import (
     mu_S,
 )
 from floordiag.polygon import lattice_stats, make_delta_abn, make_delta_d, parse_polygon
+from golden import GOLDEN, golden_values
 
 D3 = make_delta_d(3)
 D4 = make_delta_d(4)
 
-QUARTIC_TABLE = {
-    0: {"3": 1, "2": 13, "1": 94, "0": 404, "-1": 94, "-2": 13, "-3": 1},
-    1: {"3": 1, "2": 11, "1": 70, "0": 264, "-1": 70, "-2": 11, "-3": 1},
-    2: {"3": 1, "2": 9, "1": 50, "0": 164, "-1": 50, "-2": 9, "-3": 1},
-    3: {"3": 1, "2": 7, "1": 34, "0": 96, "-1": 34, "-2": 7, "-3": 1},
-    4: {"3": 1, "2": 5, "1": 22, "0": 52, "-1": 22, "-2": 5, "-3": 1},
-    5: {"3": 1, "2": 3, "1": 14, "0": 24, "-1": 14, "-2": 3, "-3": 1},
-}
-
-
-def doubled(d):
-    return {str(2 * int(k)): v for k, v in d.items()}
-
 
 def test_cubic_invariants():
-    assert refined_invariant(D3, 1) == LaurentPoly.one()
-    assert refined_invariant(D3, 0).render() == "q + 10 + q^-1"
+    for g, value in golden_values("invariants", D3).items():
+        assert refined_invariant(D3, g) == value
 
 
 def test_quartic_invariants():
-    assert refined_invariant(D4, 3) == LaurentPoly.one()
-    assert refined_invariant(D4, 2).render() == "3*q + 21 + 3*q^-1"
-    assert refined_invariant(D4, 1).render() == "3*q^2 + 33*q + 153 + 33*q^-1 + 3*q^-2"
-    assert refined_invariant(D4, 0).to_json() == doubled(QUARTIC_TABLE[0])
+    for g, value in golden_values("invariants", D4).items():
+        assert refined_invariant(D4, g) == value
 
 
 def test_invariant_zero_beyond_interior():
@@ -74,14 +60,13 @@ def test_invariant_degree_and_symmetry():
 
 
 def test_cubic_descendants():
-    for s in range(5):
-        got = refined_descendant(D3, s)
-        assert got == LaurentPoly({2: 1, 0: 10 - 2 * s, -2: 1})
+    for s, value in golden_values("descendants", D3).items():
+        assert refined_descendant(D3, s) == value
 
 
 def test_quartic_descendants():
-    for s, table in QUARTIC_TABLE.items():
-        assert refined_descendant(D4, s).to_json() == doubled(table)
+    for s, value in golden_values("descendants", D4).items():
+        assert refined_descendant(D4, s) == value
 
 
 def test_descendant_s0_equals_invariant():
@@ -131,10 +116,10 @@ def test_pairing_independence_value():
 
 
 def test_recursion_quartic_and_cubic():
-    for s in range(5):
-        assert verify_recursion(D4, s).passed
-    for s in range(3):
-        assert verify_recursion(D3, s).passed
+    for entry in GOLDEN["recursion"]:
+        polygon = parse_polygon(entry["polygon"])
+        for s in range(entry["s_max"] + 1):
+            assert verify_recursion(polygon, s).passed
 
 
 def test_recursion_difference_value():
@@ -149,7 +134,8 @@ def test_recursion_precondition():
 
 
 def test_monotonicity_reports():
-    for poly in (D3, D4, make_delta_abn(2, 2, 1)):
+    for literal in GOLDEN["monotonicity"]:
+        poly = parse_polygon(literal)
         iota = lattice_stats(poly).interior
         for i in range(iota + 1):
             rep = verify_monotonicity(poly, i)
@@ -157,8 +143,10 @@ def test_monotonicity_reports():
 
 
 def test_monotonicity_quartic_constants():
+    # the codegree-3 chain of the quartic, read off the table's descendants
     chain = [descendant_codegree_coeff(D4, s, 3) for s in range(6)]
-    assert chain == [404, 264, 164, 96, 52, 24]
+    values = golden_values("descendants", D4)
+    assert chain == [values[s].codegree_coeff(3) for s in range(6)]
 
 
 def test_codegree_coeff_shortcuts_match():
@@ -178,6 +166,26 @@ def test_codegree_coeff_shortcuts_match():
         top = lattice_stats(poly).interior - g
         full = refined_invariant(poly, g)
         for i in range(min(2, top) + 1):
+            assert invariant_codegree_coeff(poly, g, i) == full.coeff2(2 * (top - i))
+
+
+def test_codegree_coeff_needs_no_classes(monkeypatch):
+    # the labelled-shape sum uses no canonical forms, automorphism groups or
+    # per-class marking counts
+    mixed = parse_polygon("ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1")
+    cases = [(make_delta_abn(4, 2, 1), 1), (mixed, 0)]
+    expected = [refined_invariant(poly, g) for poly, g in cases]
+
+    def fail(*args):
+        raise AssertionError("class machinery on the codegree path")
+
+    for module in (diagram, marking, invariant):
+        for name in ("canonical_form", "vertex_automorphisms", "count_markings"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fail)
+    for (poly, g), full in zip(cases, expected):
+        top = lattice_stats(poly).interior - g
+        for i in range(3):
             assert invariant_codegree_coeff(poly, g, i) == full.coeff2(2 * (top - i))
 
 

@@ -1,15 +1,14 @@
-import itertools
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floordiag import marking
-from floordiag.diagram import FloorDiagram, enumerate_floor_diagrams, mult
+from floordiag.diagram import FloorDiagram, _labelled, enumerate_floor_diagrams, mult
 from floordiag.laurent import EngineError, LaurentPoly, poly_geq
 from floordiag.marking import (
     all_pairings,
     canonical_pairing,
+    count_labelled_extensions,
     count_markings,
     count_reduced_extensions,
     descendant_sum,
@@ -75,6 +74,47 @@ def test_parallel_weight_markings():
 def test_reduced_count_matches_enumeration():
     for d in enumerate_floor_diagrams(make_delta_d(4), 1):
         assert count_reduced_extensions(d) == len(list(iter_reduced_extensions(d)))
+
+
+# -- extensions with the floors in label order ---------------------------------
+
+
+def labelled_extensions_oracle(d):
+    """Reduced extensions that list the floors in label order, one by one."""
+    floors = [("floor", v) for v in range(d.n_floors)]
+    return sum(
+        1 for m in iter_reduced_extensions(d) if [e for e in m if e[0] == "floor"] == floors
+    )
+
+
+def labelled_diagrams(polygon, genus):
+    """Every labelled diagram of the genus, then its labelled shapes of
+    codegree <= 2, whose free slots are parallel copies of one weight."""
+    yield from (d for d, _, _ in _labelled(polygon, genus, None))
+    for i in range(3):
+        yield from (d for d, _, _ in _labelled(polygon, genus, i, free_above=i))
+
+
+def test_labelled_extensions_match_oracle_on_cubic_and_quartic():
+    for polygon in (make_delta_d(3), make_delta_d(4)):
+        for g in range(lattice_stats(polygon).interior + 1):
+            for d in labelled_diagrams(polygon, g):
+                assert count_labelled_extensions(d) == labelled_extensions_oracle(d), d
+            # the labellings of a class share out its marked classes
+            labelled = sum(count_labelled_extensions(d) for d, _, _ in _labelled(polygon, g, None))
+            classes = sum(count_markings(d) for d in enumerate_floor_diagrams(polygon, g))
+            assert labelled == classes
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_polygons(), st.integers(0, 1))
+def test_labelled_extensions_match_oracle_on_random_polygons(polygon, genus):
+    # sources and sinks on interior floors and long elevators; draws whose
+    # oracle would list more than 20,000 extensions are skipped
+    diagrams = list(labelled_diagrams(polygon, genus))
+    assume(sum(count_reduced_extensions(d) for d in diagrams) <= 20_000)
+    for d in diagrams:
+        assert count_labelled_extensions(d) == labelled_extensions_oracle(d), d
 
 
 def test_markings_increasing():

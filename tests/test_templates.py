@@ -1,7 +1,7 @@
 import pytest
 
 from floordiag import templates
-from floordiag.diagram import canonical_key, codegree, enumerate_floor_diagrams
+from floordiag.diagram import codegree, enumerate_floor_diagrams
 from floordiag.laurent import EngineError
 from floordiag.polygon import make_delta_abn
 from floordiag.templates import (
