@@ -181,54 +181,73 @@ def _connected(diagram: FloorDiagram) -> bool:
 # -- canonical forms and automorphisms ------------------------------------
 
 
-def _floor_order_extensions(diagram: FloorDiagram) -> Iterator[Tuple[int, ...]]:
-    """All relabellings p (old -> new) compatible with elevator orientation."""
+def _order_search(diagram: FloorDiagram, own: bool):
+    """Search the topological floor orders whose floor sequence can lead
+    the key: at each position, only the ready floors of the least value
+    (own=False) or of the diagram's own value there (own=True).
+
+    own=False returns the least relabelling's (floors, elevators); a branch
+    whose floor prefix exceeds the best one found is cut.  own=True returns
+    every relabelling p (old -> new) that gives the diagram's own key.
+    """
     a = diagram.n_floors
-    succ = [set() for _ in range(a)]
-    indeg = [0] * a
-    for i, j in {(i, j) for i, j, _ in diagram.elevators}:
-        succ[i].add(j)
-        indeg[j] += 1
+    floors, elevators = diagram.floors, diagram.elevators
+    succ: List[List[int]] = [[] for _ in range(a)]
+    blocked = [0] * a  # unplaced predecessors; -1 once placed
+    for i, j in dict.fromkeys((i, j) for i, j, _ in elevators):
+        succ[i].append(j)
+        blocked[j] += 1
     p = [0] * a
-    used = [False] * a
-    deg = list(indeg)
+    order: List[int] = []
+    best: List[Tuple] = []  # the least (floors, elevators) found so far
+    found: List[Tuple[int, ...]] = []
 
-    def rec(pos):
+    def rec(pos: int, tight: bool) -> bool:
+        # tight: the floors placed so far equal best's first pos floors;
+        # returns whether best was replaced below here
         if pos == a:
-            yield tuple(p)
-            return
-        for v in range(a):
-            if not used[v] and deg[v] == 0:
-                used[v] = True
-                for w in succ[v]:
-                    deg[w] -= 1
-                p[v] = pos
-                yield from rec(pos + 1)
-                for w in succ[v]:
-                    deg[w] += 1
-                used[v] = False
+            elevs = tuple(sorted([(p[i], p[j], w) for i, j, w in elevators]))
+            if own:
+                if elevs == elevators:
+                    found.append(tuple(p))
+            elif not tight or elevs < best[1]:
+                best[:] = [tuple(floors[v] for v in order), elevs]
+                return True
+            return False
+        ready = [v for v in range(a) if blocked[v] == 0]
+        if own:
+            least = floors[pos]
+        else:
+            least = min(floors[v] for v in ready)
+            if tight:
+                if least > best[0][pos]:
+                    return False
+                tight = least == best[0][pos]
+        replaced = False
+        for v in ready:
+            if floors[v] != least:
+                continue
+            blocked[v] = -1
+            for w in succ[v]:
+                blocked[w] -= 1
+            p[v] = pos
+            order.append(v)
+            if rec(pos + 1, tight):
+                # the new best runs through this prefix
+                replaced = tight = True
+            order.pop()
+            for w in succ[v]:
+                blocked[w] += 1
+            blocked[v] = 0
+        return replaced
 
-    yield from rec(0)
-
-
-def _relabel(diagram: FloorDiagram, p: Sequence[int]) -> FloorDiagram:
-    inv = [0] * len(p)
-    for old, new in enumerate(p):
-        inv[new] = old
-    floors = tuple(diagram.floors[inv[k]] for k in range(len(p)))
-    elevs = tuple(sorted((p[i], p[j], w) for i, j, w in diagram.elevators))
-    return FloorDiagram(floors, elevs)
+    rec(0, False)
+    return found if own else tuple(best)
 
 
 def canonical_form(diagram: FloorDiagram) -> FloorDiagram:
     """The minimal relabelling; identical for isomorphic diagrams."""
-    best = None
-    for p in _floor_order_extensions(diagram):
-        cand = _relabel(diagram, p)
-        if best is None or cand.key() < best.key():
-            best = cand
-    assert best is not None
-    return best
+    return FloorDiagram(*_order_search(diagram, own=False))
 
 
 def canonical_key(diagram: FloorDiagram) -> Tuple:
@@ -237,11 +256,7 @@ def canonical_key(diagram: FloorDiagram) -> Tuple:
 
 def vertex_automorphisms(diagram: FloorDiagram) -> List[Tuple[int, ...]]:
     """Floor permutations preserving labels, decorations and weighted elevators."""
-    return [
-        p
-        for p in _floor_order_extensions(diagram)
-        if _relabel(diagram, p).key() == diagram.key()
-    ]
+    return _order_search(diagram, own=True)
 
 
 # -- enumeration ------------------------------------------------------------

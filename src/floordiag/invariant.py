@@ -1,6 +1,7 @@
 """Tropical refined invariants and refined descendant invariants.
 
-G_Delta(g) sums count * multiplicity over floor-diagram classes of genus g;
+G_Delta(g) sums count * multiplicity over floor-diagram classes of genus g,
+with one multiplicity per multiset of elevator weights;
 G_Delta(0;s) sums the refined S-multiplicity over marked genus-0 classes
 for a pairing of order s.  Results are memoized on disk keyed by polygon,
 parameters and a digest of the engine source, because the verification
@@ -115,14 +116,24 @@ def _pairing_token(pairing: Pairing) -> str:
 
 
 def refined_invariant(polygon: HTransversePolygon, genus: int) -> LaurentPoly:
-    """G_Delta(g); zero when g exceeds the interior lattice count."""
+    """G_Delta(g); zero when g exceeds the interior lattice count.
+
+    mult(D) depends only on the multiset of elevator weights above 1, so the
+    marking counts of the classes that share that multiset are summed first
+    and mult is computed once per multiset.
+    """
     if genus > lattice_stats(polygon).interior:
         return LaurentPoly.zero()
 
     def compute() -> LaurentPoly:
-        total = LaurentPoly.zero()
+        # weight multiset -> [its first class, marking count of its classes]
+        groups: Dict[Tuple[int, ...], List] = {}
         for D in enumerate_floor_diagrams(polygon, genus):
-            total = total + mult(D).scalar_mul(count_markings(D))
+            weights = tuple(sorted(w for _, _, w in D.elevators if w > 1))
+            groups.setdefault(weights, [D, 0])[1] += count_markings(D)
+        total = LaurentPoly.zero()
+        for D, n in groups.values():
+            total = total + mult(D).scalar_mul(n)
         return total
 
     return _cached("G", polygon, "g=%d" % genus, compute)

@@ -8,6 +8,14 @@ automorphisms, so extensions are enumerated in a reduced form where each
 such group appears in a fixed internal order; dividing the reduced count
 by the number of floor automorphisms gives the number of marked classes.
 
+count_reduced_extensions leaves the sources out of its downset DP: they
+are minimal and each lies under one floor.  When floor v is placed after
+m elements of the DP and after the S sources of the floors placed before
+it, its s_v sources, in their fixed order, go into that prefix in
+C(m + S + s_v, s_v) ways.  A diagram with more sinks than sources is
+first turned upside down (floor v to a-1-v, sources swapped with sinks),
+which reverses every extension and so keeps the count.
+
 A marking orders the floors, and relabelling the diagram by that order
 gives one of its labellings.  So the marked classes of a diagram are also
 counted, without automorphisms, by summing over its distinct labellings
@@ -87,26 +95,55 @@ def iter_reduced_extensions(diagram: FloorDiagram) -> Iterator[Marking]:
     yield from rec(0)
 
 
-def count_reduced_extensions(diagram: FloorDiagram) -> int:
-    """Downset-memoized count of the reduced linear extensions."""
-    elems, _, preds = _poset_arrays(diagram)
-    n = len(elems)
-    full = (1 << n) - 1
-    memo: Dict[int, int] = {full: 1}
+def _upside_down(diagram: FloorDiagram) -> FloorDiagram:
+    """The diagram of the polygon reflected in a horizontal line: floor v
+    becomes a-1-v, l and r change sign and sources swap with sinks.
+    Reversing an extension of one gives an extension of the other."""
+    a = diagram.n_floors
+    floors = tuple((-l, -r, t, s) for l, r, s, t in reversed(diagram.floors))
+    elevators = tuple((a - 1 - j, a - 1 - i, w) for i, j, w in diagram.elevators)
+    return FloorDiagram(floors, elevators)
 
-    def count(placed: int) -> int:
+
+def count_reduced_extensions(diagram: FloorDiagram) -> int:
+    """Number of reduced linear extensions, by a DP over the downsets of
+    the floors, elevators and sinks; see the module docstring."""
+    if sum(f[3] for f in diagram.floors) > sum(f[2] for f in diagram.floors):
+        diagram = _upside_down(diagram)
+    a = diagram.n_floors
+    sources = [f[2] for f in diagram.floors]
+    # elements 0..a-1 are the floors, then the elevators, then the sinks;
+    # copies of one elevator, and the sinks of one floor, keep a fixed order
+    preds = [0] * a
+    previous = None
+    for k, e in enumerate(diagram.elevators, a):
+        preds.append(1 << e[0] | (1 << k - 1 if e == previous else 0))
+        preds[e[1]] |= 1 << k
+        previous = e
+    for v, (_, _, _, t) in enumerate(diagram.floors):
+        for c in range(t):
+            preds.append(1 << (len(preds) - 1 if c else v))
+    n = len(preds)
+    memo: Dict[int, int] = {(1 << n) - 1: 1}
+
+    def count(placed: int, m: int, before: int) -> int:
+        # placed: a downset of m elements; before: the sources of its floors
         got = memo.get(placed)
         if got is not None:
             return got
         total = 0
         for k in range(n):
             bit = 1 << k
-            if not placed & bit and (preds[k] & ~placed) == 0:
-                total += count(placed | bit)
+            if not placed & bit and not preds[k] & ~placed:
+                if k < a:
+                    s = sources[k]
+                    total += comb(m + before + s, s) * count(placed | bit, m + 1, before + s)
+                else:
+                    total += count(placed | bit, m + 1, before)
         memo[placed] = total
         return total
 
-    return count(0)
+    return count(0, 0, 0)
 
 
 def _induced_element_map(diagram: FloorDiagram, perm: Sequence[int]):

@@ -28,7 +28,13 @@ from floordiag.marking import (
     make_pairing,
     mu_S,
 )
-from floordiag.polygon import lattice_stats, make_delta_abn, make_delta_d, parse_polygon
+from floordiag.polygon import (
+    HTransversePolygon,
+    lattice_stats,
+    make_delta_abn,
+    make_delta_d,
+    parse_polygon,
+)
 from golden import GOLDEN, golden_values
 
 D3 = make_delta_d(3)
@@ -57,6 +63,23 @@ def test_invariant_degree_and_symmetry():
             val = refined_invariant(poly, g)
             assert val.is_symmetric()
             assert val.degree2() == 2 * (iota - g)
+
+
+def upside_down(polygon):
+    """The polygon reflected in a horizontal line: slopes negated, bottom
+    and top swapped."""
+    return HTransversePolygon(tuple(sorted(-x for x in polygon.d_l)),
+                              tuple(sorted(-x for x in polygon.d_r)), polygon.d_t, polygon.d_b)
+
+
+# the turned polygons have more sinks than sources, so the marking counts
+# of their diagrams run upside down
+@pytest.mark.parametrize("literal", [
+    "abn:3,0,1", "abn:4,2,1", "abn:4,1,2", "ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1"])
+def test_invariant_of_the_upside_down_polygon(literal):
+    polygon = parse_polygon(literal)
+    for g in range(3):
+        assert refined_invariant(upside_down(polygon), g) == refined_invariant(polygon, g)
 
 
 def test_cubic_descendants():

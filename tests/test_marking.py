@@ -72,19 +72,36 @@ def test_parallel_weight_markings():
 
 
 def test_reduced_count_matches_enumeration():
-    for d in enumerate_floor_diagrams(make_delta_d(4), 1):
-        assert count_reduced_extensions(d) == len(list(iter_reduced_extensions(d)))
+    for g in range(4):
+        for d in enumerate_floor_diagrams(make_delta_d(4), g):
+            assert count_reduced_extensions(d) == len(list(iter_reduced_extensions(d))), d
+
+
+def test_reduced_count_turns_sink_heavy_diagrams_over(monkeypatch):
+    # CHAIN11 upside down, a diagram of the turned-over cubic: three sinks
+    sink_heavy = FloorDiagram(((0, -1, 0, 0), (0, -1, 0, 1), (0, -1, 0, 2)),
+                              ((0, 1, 1), (1, 2, 1)))
+    turned = []
+
+    def spy(d):
+        turned.append(d)
+        return upside_down(d)
+
+    upside_down = marking._upside_down
+    assert upside_down(CHAIN11) == sink_heavy
+    monkeypatch.setattr(marking, "_upside_down", spy)
+    count = count_reduced_extensions(sink_heavy)
+    assert turned == [sink_heavy]
+    assert count == len(list(iter_reduced_extensions(sink_heavy))) == 5
 
 
 # -- extensions with the floors in label order ---------------------------------
 
 
-def labelled_extensions_oracle(d):
-    """Reduced extensions that list the floors in label order, one by one."""
+def labelled_extensions_oracle(d, extensions):
+    """The reduced extensions of d that list the floors in label order."""
     floors = [("floor", v) for v in range(d.n_floors)]
-    return sum(
-        1 for m in iter_reduced_extensions(d) if [e for e in m if e[0] == "floor"] == floors
-    )
+    return sum(1 for m in extensions if [e for e in m if e[0] == "floor"] == floors)
 
 
 def labelled_diagrams(polygon, genus):
@@ -99,7 +116,8 @@ def test_labelled_extensions_match_oracle_on_cubic_and_quartic():
     for polygon in (make_delta_d(3), make_delta_d(4)):
         for g in range(lattice_stats(polygon).interior + 1):
             for d in labelled_diagrams(polygon, g):
-                assert count_labelled_extensions(d) == labelled_extensions_oracle(d), d
+                oracle = labelled_extensions_oracle(d, iter_reduced_extensions(d))
+                assert count_labelled_extensions(d) == oracle, d
             # the labellings of a class share out its marked classes
             labelled = sum(count_labelled_extensions(d) for d, _, _ in _labelled(polygon, g, None))
             classes = sum(count_markings(d) for d in enumerate_floor_diagrams(polygon, g))
@@ -109,21 +127,20 @@ def test_labelled_extensions_match_oracle_on_cubic_and_quartic():
 @settings(max_examples=30, deadline=None)
 @given(small_polygons(), st.integers(0, 1))
 def test_labelled_extensions_match_oracle_on_random_polygons(polygon, genus):
-    # sources and sinks on interior floors and long elevators; draws whose
-    # oracle would list more than 20,000 extensions are skipped
+    # sources and sinks on interior floors, more sinks than sources, and long
+    # elevators; draws whose oracle would list more than 20,000 extensions
+    # are skipped
     diagrams = list(labelled_diagrams(polygon, genus))
     assume(sum(count_reduced_extensions(d) for d in diagrams) <= 20_000)
     for d in diagrams:
-        assert count_labelled_extensions(d) == labelled_extensions_oracle(d), d
+        extensions = list(iter_reduced_extensions(d))
+        assert count_reduced_extensions(d) == len(extensions), d
+        assert count_labelled_extensions(d) == labelled_extensions_oracle(d, extensions), d
 
 
 def test_markings_increasing():
-    elems, = [elements_of(CHAIN11)]
-    index = {e: k for k, e in enumerate(elems)}
     for m in enumerate_markings(CHAIN11):
         pos = {e: p for p, e in enumerate(m)}
-        for i, j, w in CHAIN11.elevators:
-            pass
         for e in m:
             if e[0] == "elev":
                 assert pos[("floor", e[1])] < pos[e] < pos[("floor", e[2])]
