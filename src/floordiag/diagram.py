@@ -181,73 +181,56 @@ def _connected(diagram: FloorDiagram) -> bool:
 # -- canonical forms and automorphisms ------------------------------------
 
 
-def _order_search(diagram: FloorDiagram, own: bool):
-    """Search the topological floor orders whose floor sequence can lead
-    the key: at each position, only the ready floors of the least value
-    (own=False) or of the diagram's own value there (own=True).
+def _below(diagram: FloorDiagram) -> List[int]:
+    """Per floor, the bitmask of the floors its incoming elevators leave."""
+    below = [0] * diagram.n_floors
+    for i, j, _ in diagram.elevators:
+        below[j] |= 1 << i
+    return below
 
-    own=False returns the least relabelling's (floors, elevators); a branch
-    whose floor prefix exceeds the best one found is cut.  own=True returns
-    every relabelling p (old -> new) that gives the diagram's own key.
+
+def canonical_form(diagram: FloorDiagram) -> FloorDiagram:
+    """The minimal relabelling; identical for isomorphic diagrams.
+
+    The floor sequence leads the key, so the search places at each
+    position only the ready floors of the least value, and cuts a branch
+    whose floor prefix exceeds the best one found.
     """
     a = diagram.n_floors
     floors, elevators = diagram.floors, diagram.elevators
-    succ: List[List[int]] = [[] for _ in range(a)]
-    blocked = [0] * a  # unplaced predecessors; -1 once placed
-    for i, j in dict.fromkeys((i, j) for i, j, _ in elevators):
-        succ[i].append(j)
-        blocked[j] += 1
-    p = [0] * a
+    below = _below(diagram)
+    p = [0] * a  # old label -> new label
     order: List[int] = []
     best: List[Tuple] = []  # the least (floors, elevators) found so far
-    found: List[Tuple[int, ...]] = []
 
-    def rec(pos: int, tight: bool) -> bool:
+    def rec(pos: int, placed: int, tight: bool) -> bool:
         # tight: the floors placed so far equal best's first pos floors;
         # returns whether best was replaced below here
         if pos == a:
             elevs = tuple(sorted([(p[i], p[j], w) for i, j, w in elevators]))
-            if own:
-                if elevs == elevators:
-                    found.append(tuple(p))
-            elif not tight or elevs < best[1]:
+            if not tight or elevs < best[1]:
                 best[:] = [tuple(floors[v] for v in order), elevs]
                 return True
             return False
-        ready = [v for v in range(a) if blocked[v] == 0]
-        if own:
-            least = floors[pos]
-        else:
-            least = min(floors[v] for v in ready)
-            if tight:
-                if least > best[0][pos]:
-                    return False
-                tight = least == best[0][pos]
+        ready = [v for v in range(a) if not placed >> v & 1 and not below[v] & ~placed]
+        least = min(floors[v] for v in ready)
+        if tight:
+            if least > best[0][pos]:
+                return False
+            tight = least == best[0][pos]
         replaced = False
         for v in ready:
-            if floors[v] != least:
-                continue
-            blocked[v] = -1
-            for w in succ[v]:
-                blocked[w] -= 1
-            p[v] = pos
-            order.append(v)
-            if rec(pos + 1, tight):
-                # the new best runs through this prefix
-                replaced = tight = True
-            order.pop()
-            for w in succ[v]:
-                blocked[w] += 1
-            blocked[v] = 0
+            if floors[v] == least:
+                p[v] = pos
+                order.append(v)
+                if rec(pos + 1, placed | 1 << v, tight):
+                    # the new best runs through this prefix
+                    replaced = tight = True
+                order.pop()
         return replaced
 
-    rec(0, False)
-    return found if own else tuple(best)
-
-
-def canonical_form(diagram: FloorDiagram) -> FloorDiagram:
-    """The minimal relabelling; identical for isomorphic diagrams."""
-    return FloorDiagram(*_order_search(diagram, own=False))
+    rec(0, 0, False)
+    return FloorDiagram(*best)
 
 
 def canonical_key(diagram: FloorDiagram) -> Tuple:
@@ -255,8 +238,30 @@ def canonical_key(diagram: FloorDiagram) -> Tuple:
 
 
 def vertex_automorphisms(diagram: FloorDiagram) -> List[Tuple[int, ...]]:
-    """Floor permutations preserving labels, decorations and weighted elevators."""
-    return _order_search(diagram, own=True)
+    """Floor permutations preserving labels, decorations and weighted elevators.
+
+    An automorphism p (old -> new) keeps every elevator pointing up, so it
+    lists the floors in a topological order: the search places at each
+    position a ready floor equal to the diagram's own floor there.
+    """
+    a = diagram.n_floors
+    floors, elevators = diagram.floors, diagram.elevators
+    below = _below(diagram)
+    p = [0] * a
+    found: List[Tuple[int, ...]] = []
+
+    def rec(pos: int, placed: int) -> None:
+        if pos == a:
+            if tuple(sorted([(p[i], p[j], w) for i, j, w in elevators])) == elevators:
+                found.append(tuple(p))
+            return
+        for v in range(a):
+            if not placed >> v & 1 and not below[v] & ~placed and floors[v] == floors[pos]:
+                p[v] = pos
+                rec(pos + 1, placed | 1 << v)
+
+    rec(0, 0)
+    return found
 
 
 # -- enumeration ------------------------------------------------------------

@@ -12,9 +12,7 @@ count_reduced_extensions leaves the sources out of its downset DP: they
 are minimal and each lies under one floor.  When floor v is placed after
 m elements of the DP and after the S sources of the floors placed before
 it, its s_v sources, in their fixed order, go into that prefix in
-C(m + S + s_v, s_v) ways.  A diagram with more sinks than sources is
-first turned upside down (floor v to a-1-v, sources swapped with sinks),
-which reverses every extension and so keeps the count.
+C(m + S + s_v, s_v) ways.
 
 A marking orders the floors, and relabelling the diagram by that order
 gives one of its labellings.  So the marked classes of a diagram are also
@@ -95,21 +93,9 @@ def iter_reduced_extensions(diagram: FloorDiagram) -> Iterator[Marking]:
     yield from rec(0)
 
 
-def _upside_down(diagram: FloorDiagram) -> FloorDiagram:
-    """The diagram of the polygon reflected in a horizontal line: floor v
-    becomes a-1-v, l and r change sign and sources swap with sinks.
-    Reversing an extension of one gives an extension of the other."""
-    a = diagram.n_floors
-    floors = tuple((-l, -r, t, s) for l, r, s, t in reversed(diagram.floors))
-    elevators = tuple((a - 1 - j, a - 1 - i, w) for i, j, w in diagram.elevators)
-    return FloorDiagram(floors, elevators)
-
-
 def count_reduced_extensions(diagram: FloorDiagram) -> int:
     """Number of reduced linear extensions, by a DP over the downsets of
     the floors, elevators and sinks; see the module docstring."""
-    if sum(f[3] for f in diagram.floors) > sum(f[2] for f in diagram.floors):
-        diagram = _upside_down(diagram)
     a = diagram.n_floors
     sources = [f[2] for f in diagram.floors]
     # elements 0..a-1 are the floors, then the elevators, then the sinks;

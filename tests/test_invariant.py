@@ -72,8 +72,8 @@ def upside_down(polygon):
                               tuple(sorted(-x for x in polygon.d_r)), polygon.d_t, polygon.d_b)
 
 
-# the turned polygons have more sinks than sources, so the marking counts
-# of their diagrams run upside down
+# the turned polygons have more sinks than sources, so their marking
+# counts keep many sinks in the downset DP
 @pytest.mark.parametrize("literal", [
     "abn:3,0,1", "abn:4,2,1", "abn:4,1,2", "ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1"])
 def test_invariant_of_the_upside_down_polygon(literal):

@@ -77,24 +77,6 @@ def test_reduced_count_matches_enumeration():
             assert count_reduced_extensions(d) == len(list(iter_reduced_extensions(d))), d
 
 
-def test_reduced_count_turns_sink_heavy_diagrams_over(monkeypatch):
-    # CHAIN11 upside down, a diagram of the turned-over cubic: three sinks
-    sink_heavy = FloorDiagram(((0, -1, 0, 0), (0, -1, 0, 1), (0, -1, 0, 2)),
-                              ((0, 1, 1), (1, 2, 1)))
-    turned = []
-
-    def spy(d):
-        turned.append(d)
-        return upside_down(d)
-
-    upside_down = marking._upside_down
-    assert upside_down(CHAIN11) == sink_heavy
-    monkeypatch.setattr(marking, "_upside_down", spy)
-    count = count_reduced_extensions(sink_heavy)
-    assert turned == [sink_heavy]
-    assert count == len(list(iter_reduced_extensions(sink_heavy))) == 5
-
-
 # -- extensions with the floors in label order ---------------------------------
 
 
