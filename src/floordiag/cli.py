@@ -134,6 +134,9 @@ def cmd_fit(args) -> int:
             "b": args.i + args.genus,
             "n": args.i + args.genus,
         }
+    missing = sorted(set(degrees) - set(grid))
+    if missing:
+        raise ValueError("grid must set %s (missing %s)" % (", ".join(degrees), missing))
     box = {v: grid[v] for v in degrees}
     report = polyfit.verify_polynomiality(
         sampler, box, degrees, name="fit i=%d g=%d" % (args.i, args.genus)

@@ -25,8 +25,8 @@ from .marking import (
     Pairing,
     all_pairings,
     canonical_pairing,
-    count_labelled_extensions,
     count_markings,
+    count_reduced_extensions,
     descendant_sum,
     enumerate_markings,
     make_pairing,
@@ -202,7 +202,8 @@ def invariant_codegree_coeff(
 
     def shape_term(pseudo, codeg):
         weights = [w for _, _, w in pseudo.elevators]
-        return count_labelled_extensions(pseudo) * coeff_product_of_squares(i - codeg, weights)
+        return (count_reduced_extensions(pseudo, in_label_order=True)
+                * coeff_product_of_squares(i - codeg, weights))
 
     return codegree_coefficient_sum(polygon, genus, i, shape_term)
 

@@ -17,14 +17,15 @@ C(m + S + s_v, s_v) ways.
 A marking orders the floors, and relabelling the diagram by that order
 gives one of its labellings.  So the marked classes of a diagram are also
 counted, without automorphisms, by summing over its distinct labellings
-the reduced extensions that keep the floors in label order
-(count_labelled_extensions, a DP over the gaps between floors).
+the reduced extensions that keep the floors in label order.  That count
+is the same downset DP with the floors chained in label order:
+count_reduced_extensions(diagram, in_label_order=True).
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial
+from math import comb
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import FloorDiagram, vertex_automorphisms
@@ -93,14 +94,16 @@ def iter_reduced_extensions(diagram: FloorDiagram) -> Iterator[Marking]:
     yield from rec(0)
 
 
-def count_reduced_extensions(diagram: FloorDiagram) -> int:
+def count_reduced_extensions(diagram: FloorDiagram, in_label_order: bool = False) -> int:
     """Number of reduced linear extensions, by a DP over the downsets of
-    the floors, elevators and sinks; see the module docstring."""
+    the floors, elevators and sinks; see the module docstring.  With
+    in_label_order, only those that place the floors in label order."""
     a = diagram.n_floors
     sources = [f[2] for f in diagram.floors]
     # elements 0..a-1 are the floors, then the elevators, then the sinks;
-    # copies of one elevator, and the sinks of one floor, keep a fixed order
-    preds = [0] * a
+    # copies of one elevator, and the sinks of one floor, keep a fixed order;
+    # in label order, floor v - 1 lies below floor v
+    preds = [1 << v - 1 if in_label_order and v else 0 for v in range(a)]
     previous = None
     for k, e in enumerate(diagram.elevators, a):
         preds.append(1 << e[0] | (1 << k - 1 if e == previous else 0))
@@ -190,44 +193,6 @@ def count_markings(diagram: FloorDiagram) -> int:
     if total % auts:
         raise EngineError("automorphism action on markings is not free")
     return total // auts
-
-
-def count_labelled_extensions(diagram: FloorDiagram) -> int:
-    """Reduced linear extensions that place the floors in label order.
-
-    Slot k lies below floor k and slot a above the top floor.  An elevator
-    (i, j) goes in one of the slots i+1..j, a source on floor v in one of
-    0..v and a sink on floor v in one of v+1..a, and m elements in one slot
-    have m! orders.  The sweep over the slots keys each state by the number
-    of unplaced elements per last slot.  It tells interchangeable copies
-    apart, so each group of c copies is divided out by c! at the end.
-    """
-    a = diagram.n_floors
-    # arrivals[k][h]: elements whose slots run from k to h
-    arrivals = [[0] * (a + 1) for _ in range(a + 1)]
-    copies = 1
-    for (i, j, _), group in itertools.groupby(diagram.elevators):
-        c = len(list(group))
-        arrivals[i + 1][j] += c
-        copies *= factorial(c)
-    for v, (_, _, s, t) in enumerate(diagram.floors):
-        arrivals[0][v] += s
-        arrivals[v + 1][a] += t
-        copies *= factorial(s) * factorial(t)
-    # unplaced counts for the last slots k..a
-    states: Dict[Tuple[int, ...], int] = {(0,) * (a + 1): 1}
-    for k in range(a + 1):
-        after: Dict[Tuple[int, ...], int] = {}
-        for unplaced, ways in states.items():
-            due, *later = (u + n for u, n in zip(unplaced, arrivals[k][k:]))
-            for taken in itertools.product(*(range(u + 1) for u in later)):
-                w = ways * factorial(due + sum(taken))
-                for u, x in zip(later, taken):
-                    w *= comb(u, x)
-                left = tuple(u - x for u, x in zip(later, taken))
-                after[left] = after.get(left, 0) + w
-        states = after
-    return states[()] // copies
 
 
 # -- pairings ----------------------------------------------------------------

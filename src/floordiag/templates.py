@@ -275,10 +275,10 @@ def enumerate_capping_trees(a: int, n: int, max_codeg: int) -> List[CappingTree]
     the root, of codegree <= max_codeg.  Empty when n(a-2) > max_codeg."""
     if max_codeg < 0:
         raise ValueError("codegree bound must be nonnegative")
-    if a < 3:
-        return []  # the root must disconnect the tree, so it needs >= 2 children
     if n < 1:
         raise ValueError("capping trees need positive divergence")
+    if a < 3:
+        return []  # the root must disconnect the tree, so it needs >= 2 children
     out = []
     for shape in _rooted_shapes(a):
         if len(shape) < 2:

@@ -157,10 +157,18 @@ def test_verify_fails_on_a_changed_table_entry(capsys, monkeypatch):
 
 def test_fit_negative_codegree_is_usage_error(capsys):
     for argv in (["fit", "--i", "-1", "--genus", "1", "--grid", "a=4..7,b=1..3,n=1..3"],
-                 ["capping", "--a", "4", "--n", "1", "--max-codeg", "-1"]):
+                 ["capping", "--a", "4", "--n", "1", "--max-codeg", "-1"],
+                 ["capping", "--a", "2", "--n", "0", "--max-codeg", "2"]):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error" in err
+
+
+def test_fit_grid_missing_variable_is_usage_error(capsys):
+    code, _, err = run(capsys, "fit", "--i", "1", "--genus", "1",
+                       "--grid", "a=4..8,b=2..5")
+    assert code == 2
+    assert "missing ['n']" in err
 
 
 def test_fit_exit_code(capsys):

@@ -8,7 +8,6 @@ from floordiag.laurent import EngineError, LaurentPoly, poly_geq
 from floordiag.marking import (
     all_pairings,
     canonical_pairing,
-    count_labelled_extensions,
     count_markings,
     count_reduced_extensions,
     descendant_sum,
@@ -99,9 +98,10 @@ def test_labelled_extensions_match_oracle_on_cubic_and_quartic():
         for g in range(lattice_stats(polygon).interior + 1):
             for d in labelled_diagrams(polygon, g):
                 oracle = labelled_extensions_oracle(d, iter_reduced_extensions(d))
-                assert count_labelled_extensions(d) == oracle, d
+                assert count_reduced_extensions(d, in_label_order=True) == oracle, d
             # the labellings of a class share out its marked classes
-            labelled = sum(count_labelled_extensions(d) for d, _, _ in _labelled(polygon, g, None))
+            labelled = sum(count_reduced_extensions(d, in_label_order=True)
+                           for d, _, _ in _labelled(polygon, g, None))
             classes = sum(count_markings(d) for d in enumerate_floor_diagrams(polygon, g))
             assert labelled == classes
 
@@ -111,13 +111,18 @@ def test_labelled_extensions_match_oracle_on_cubic_and_quartic():
 def test_labelled_extensions_match_oracle_on_random_polygons(polygon, genus):
     # sources and sinks on interior floors, more sinks than sources, and long
     # elevators; draws whose oracle would list more than 20,000 extensions
-    # are skipped
+    # are skipped, after the labellings are checked to share out the marked
+    # classes
+    labelled = sum(count_reduced_extensions(d, in_label_order=True)
+                   for d, _, _ in _labelled(polygon, genus, None))
+    assert labelled == sum(count_markings(d) for d in enumerate_floor_diagrams(polygon, genus))
     diagrams = list(labelled_diagrams(polygon, genus))
     assume(sum(count_reduced_extensions(d) for d in diagrams) <= 20_000)
     for d in diagrams:
         extensions = list(iter_reduced_extensions(d))
         assert count_reduced_extensions(d) == len(extensions), d
-        assert count_labelled_extensions(d) == labelled_extensions_oracle(d, extensions), d
+        oracle = labelled_extensions_oracle(d, extensions)
+        assert count_reduced_extensions(d, in_label_order=True) == oracle, d
 
 
 def test_markings_increasing():
