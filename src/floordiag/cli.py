@@ -17,7 +17,7 @@ import io
 import json
 import sys
 from importlib import resources
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from . import invariant as inv
 from . import polyfit
@@ -77,15 +77,27 @@ def _parse_grid(text: str) -> Dict[str, List[int]]:
     grid: Dict[str, List[int]] = {}
     for item in text.split(","):
         key, _, val = item.partition("=")
-        grid[key.strip()] = _parse_range(val)
+        key = key.strip()
+        grid[key] = _parse_range(val)
+        if not grid[key]:
+            raise ValueError("grid variable %s has an empty range %s" % (key, val))
     return grid
+
+
+def _check_variables(grid: Dict[str, List[int]], variables: Iterable[str]) -> None:
+    """The grid sets each of the variables and no other."""
+    unknown = sorted(set(grid) - set(variables))
+    if unknown:
+        raise ValueError("grid sets %s, which this command does not take (it takes %s)"
+                         % (", ".join(unknown), ", ".join(variables)))
+    missing = sorted(set(variables) - set(grid))
+    if missing:
+        raise ValueError("grid must set %s (missing %s)" % (", ".join(variables), missing))
 
 
 def cmd_coeffs(args) -> int:
     grid = _parse_grid(args.grid)
-    missing = {"a", "b", "n", "s"} - set(grid)
-    if missing:
-        raise ValueError("grid must set a, b, n and s (missing %s)" % sorted(missing))
+    _check_variables(grid, "abns")
     rows = []
     for a in grid["a"]:
         for b in grid["b"]:
@@ -134,9 +146,7 @@ def cmd_fit(args) -> int:
             "b": args.i + args.genus,
             "n": args.i + args.genus,
         }
-    missing = sorted(set(degrees) - set(grid))
-    if missing:
-        raise ValueError("grid must set %s (missing %s)" % (", ".join(degrees), missing))
+    _check_variables(grid, degrees)
     box = {v: grid[v] for v in degrees}
     report = polyfit.verify_polynomiality(
         sampler, box, degrees, name="fit i=%d g=%d" % (args.i, args.genus)

@@ -74,24 +74,12 @@ class FloorDiagram:
     def key(self) -> Tuple:
         return (self.floors, self.elevators)
 
-    def reachability(self) -> List[List[bool]]:
-        """reach[i][j]: floor j lies above floor i along oriented elevators."""
-        a = self.n_floors
-        reach = [[False] * a for _ in range(a)]
-        for i, j, _ in self.elevators:
-            reach[i][j] = True
-        for k in range(a):
-            for i in range(a):
-                if reach[i][k]:
-                    for j in range(a):
-                        if reach[k][j]:
-                            reach[i][j] = True
-        return reach
-
     def is_layered(self) -> bool:
-        """True when the floors are totally ordered by oriented reachability."""
-        reach = self.reachability()
-        return all(reach[i][i + 1] for i in range(self.n_floors - 1))
+        """True when the floors are totally ordered by oriented reachability.
+        Labels increase along elevators, so floor v + 1 is reachable from
+        floor v only through an elevator (v, v + 1)."""
+        links = {(i, j) for i, j, _ in self.elevators}
+        return all((v, v + 1) in links for v in range(self.n_floors - 1))
 
     def to_json(self) -> Dict:
         return {
@@ -587,10 +575,14 @@ EdgeRef = Tuple[str, int, int]  # ("elev", index, 0) | ("src", floor, copy) | ("
 
 def _consecutive(diagram: FloorDiagram, v1: int, v2: int) -> bool:
     """v2 covers v1 in the floor order induced by reachability."""
-    reach = diagram.reachability()
-    if not reach[v1][v2]:
+    # above[v]: bitmask of the floors reachable from v; the elevators are
+    # sorted, so those leaving higher floors come first in reverse
+    above = [0] * diagram.n_floors
+    for i, j, _ in reversed(diagram.elevators):
+        above[i] |= 1 << j | above[j]
+    if not above[v1] >> v2 & 1:
         return False
-    return not any(reach[v1][w] and reach[w][v2] for w in range(diagram.n_floors))
+    return not any(above[w] >> v2 & 1 for w in range(diagram.n_floors) if above[v1] >> w & 1)
 
 
 def _rebuild(floors, elevators) -> FloorDiagram:
@@ -602,54 +594,51 @@ def _rebuild(floors, elevators) -> FloorDiagram:
     return canonical_form(d)
 
 
-def op_A_plus(diagram: FloorDiagram, e1_index: int, e2: EdgeRef) -> FloorDiagram:
-    """Slide an elevator leaving v1 up to v2 along an elevator e1 from v1 to v2."""
+def _op_A(diagram: FloorDiagram, e1_index: int, e2: EdgeRef, side: int) -> FloorDiagram:
+    """Slide e2 along an elevator e1 from v1 to v2: for A+ (side 0) an
+    elevator or sink leaving v1 moves its tail up to v2, for A- (side 1) an
+    elevator or source ending at v2 moves its head down to v1."""
     v1, v2, w1 = diagram.elevators[e1_index]
+    here, there = (v1, v2) if side == 0 else (v2, v1)
+    name, tag, monovalent, at, leaving, other = (
+        ("A+", "snk", "sink", "v1", "leaving v1", "v2"),
+        ("A-", "src", "source", "v2", "ending at v2", "v1"),
+    )[side]
     elevs = list(diagram.elevators)
     floors = [list(f) for f in diagram.floors]
     kind, idx, _ = e2
     if kind == "elev":
         i, j, w2 = elevs[idx]
-        if idx == e1_index or i != v1 or j == v2:
-            raise ValueError("A+ needs a second elevator leaving v1, not adjacent to v2")
-        if v2 > j:
-            raise ValueError("A+ would reverse an elevator (configuration not of the A+ shape)")
-        elevs[idx] = (v2, j, w2)
-    elif kind == "snk":
-        if floors[idx][3] <= 0 or idx != v1:
-            raise ValueError("A+ needs a sink at v1")
+        ends = [i, j]
+        if idx == e1_index or ends[side] != here or ends[1 - side] == there:
+            raise ValueError("%s needs a second elevator %s, not adjacent to %s"
+                             % (name, leaving, other))
+        ends[side] = there
+        if ends[0] > ends[1]:
+            raise ValueError("%s would reverse an elevator (configuration not of the %s shape)"
+                             % (name, name))
+        elevs[idx] = (ends[0], ends[1], w2)
+    elif kind == tag:
+        column = 3 - side  # sinks, or sources
+        if floors[idx][column] <= 0 or idx != here:
+            raise ValueError("%s needs a %s at %s" % (name, monovalent, at))
         w2 = 1
-        floors[v1][3] -= 1
-        floors[v2][3] += 1
+        floors[here][column] -= 1
+        floors[there][column] += 1
     else:
-        raise ValueError("A+ moves an elevator or sink leaving v1")
+        raise ValueError("%s moves an elevator or %s %s" % (name, monovalent, leaving))
     elevs[e1_index] = (v1, v2, w1 + w2)
     return _rebuild([tuple(f) for f in floors], elevs)
+
+
+def op_A_plus(diagram: FloorDiagram, e1_index: int, e2: EdgeRef) -> FloorDiagram:
+    """Slide an elevator or sink leaving v1 up to v2 along an elevator e1 from v1 to v2."""
+    return _op_A(diagram, e1_index, e2, 0)
 
 
 def op_A_minus(diagram: FloorDiagram, e1_index: int, e2: EdgeRef) -> FloorDiagram:
-    """Slide an elevator ending at v2 down to v1 along an elevator e1 from v1 to v2."""
-    v1, v2, w1 = diagram.elevators[e1_index]
-    elevs = list(diagram.elevators)
-    floors = [list(f) for f in diagram.floors]
-    kind, idx, _ = e2
-    if kind == "elev":
-        i, j, w2 = elevs[idx]
-        if idx == e1_index or j != v2 or i == v1:
-            raise ValueError("A- needs a second elevator ending at v2, not adjacent to v1")
-        if i > v1:
-            raise ValueError("A- would reverse an elevator (configuration not of the A- shape)")
-        elevs[idx] = (i, v1, w2)
-    elif kind == "src":
-        if floors[idx][2] <= 0 or idx != v2:
-            raise ValueError("A- needs a source at v2")
-        w2 = 1
-        floors[v2][2] -= 1
-        floors[v1][2] += 1
-    else:
-        raise ValueError("A- moves an elevator or source ending at v2")
-    elevs[e1_index] = (v1, v2, w1 + w2)
-    return _rebuild([tuple(f) for f in floors], elevs)
+    """Slide an elevator or source ending at v2 down to v1 along an elevator e1 from v1 to v2."""
+    return _op_A(diagram, e1_index, e2, 1)
 
 
 def _op_B(diagram: FloorDiagram, v1: int, v2: int, side: int) -> FloorDiagram:

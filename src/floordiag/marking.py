@@ -8,11 +8,17 @@ automorphisms, so extensions are enumerated in a reduced form where each
 such group appears in a fixed internal order; dividing the reduced count
 by the number of floor automorphisms gives the number of marked classes.
 
-count_reduced_extensions leaves the sources out of its downset DP: they
-are minimal and each lies under one floor.  When floor v is placed after
-m elements of the DP and after the S sources of the floors placed before
-it, its s_v sources, in their fixed order, go into that prefix in
-C(m + S + s_v, s_v) ways.
+reduced_poset lists the elements and their cover predecessors in one
+pass; iter_reduced_extensions and descendant_sum walk the downsets of
+that poset.  count_reduced_extensions builds its own, smaller masks and
+leaves the sources out of its downset DP: they are minimal and each lies
+under one floor.  When floor v is placed after m elements of the DP and
+after the S sources of the floors placed before it, its s_v sources, in
+their fixed order, go into that prefix in C(m + S + s_v, s_v) ways.
+It keeps its own masks because a shared builder (sources last, masked
+off) measured slower: the label-order count over the 22,756 labellings
+of the invariant_classes benchmark calls took 1.62-1.72 s of CPU time
+against 1.42-1.56 s (three alternating runs, 2-core shared host).
 
 A marking orders the floors, and relabelling the diagram by that order
 gives one of its labellings.  So the marked classes of a diagram are also
@@ -24,7 +30,6 @@ count_reduced_extensions(diagram, in_label_order=True).
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -36,46 +41,40 @@ Marking = Tuple[Element, ...]
 Pairing = FrozenSet[Tuple[int, int]]
 
 
-def elements_of(diagram: FloorDiagram) -> List[Element]:
-    out: List[Element] = [("floor", v) for v in range(diagram.n_floors)]
-    for (i, j, w), group in itertools.groupby(diagram.elevators):
-        for c, _ in enumerate(group):
-            out.append(("elev", i, j, w, c))
-    for v, (_, _, s, t) in enumerate(diagram.floors):
-        out.extend(("src", v, c) for c in range(s))
-        out.extend(("snk", v, c) for c in range(t))
-    return out
+def reduced_poset(diagram: FloorDiagram) -> Tuple[List[Element], List[int]]:
+    """Elements of the reduced poset and, per element, the bitmask of the
+    elements directly below it (a floor lists every one of its sources).
 
-
-def _poset_arrays(diagram: FloorDiagram):
-    """Elements, cover-predecessor bitmask per element, and the group chains."""
-    elems = elements_of(diagram)
-    index = {e: k for k, e in enumerate(elems)}
+    The elements are the floors, the elevators, then per floor its sources
+    and its sinks.  Copies of a group are adjacent, and each copy after the
+    first lies above the one before it.
+    """
+    elems: List[Element] = [("floor", v) for v in range(diagram.n_floors)]
     preds = [0] * len(elems)
-    for e, k in index.items():
-        kind = e[0]
-        if kind == "floor":
-            v = e[1]
-            for f in elems:
-                if f[0] == "elev" and f[2] == v:
-                    preds[k] |= 1 << index[f]
-                elif f[0] == "src" and f[1] == v:
-                    preds[k] |= 1 << index[f]
-        elif kind == "elev":
-            preds[k] |= 1 << index[("floor", e[1])]
-        elif kind == "snk":
-            preds[k] |= 1 << index[("floor", e[1])]
-    # force a canonical internal order on interchangeable copies
-    for e, k in index.items():
-        if e[0] in ("src", "snk", "elev") and e[-1] > 0:
-            prev = e[:-1] + (e[-1] - 1,)
-            preds[k] |= 1 << index[prev]
-    return elems, index, preds
+
+    def add(e: Element, below: int) -> int:
+        if e[-1]:
+            below |= 1 << len(elems) - 1
+        elems.append(e)
+        preds.append(below)
+        return 1 << len(elems) - 1
+
+    previous, c = None, 0
+    for e in diagram.elevators:
+        c = c + 1 if e == previous else 0
+        preds[e[1]] |= add(("elev",) + e + (c,), 1 << e[0])
+        previous = e
+    for v, (_, _, s, t) in enumerate(diagram.floors):
+        for c in range(s):
+            preds[v] |= add(("src", v, c), 0)
+        for c in range(t):
+            add(("snk", v, c), 1 << v)
+    return elems, preds
 
 
 def iter_reduced_extensions(diagram: FloorDiagram) -> Iterator[Marking]:
     """Linear extensions with interchangeable copies in canonical order."""
-    elems, _, preds = _poset_arrays(diagram)
+    elems, preds = reduced_poset(diagram)
     n = len(elems)
     full = (1 << n) - 1
     seq: List[Element] = []
@@ -135,32 +134,19 @@ def count_reduced_extensions(diagram: FloorDiagram, in_label_order: bool = False
     return count(0, 0, 0)
 
 
-def _induced_element_map(diagram: FloorDiagram, perm: Sequence[int]):
-    """Element permutation induced by a floor automorphism."""
+def _induced_element_map(perm: Sequence[int]):
+    """Reduced-extension map induced by a floor automorphism.  It sends each
+    group of interchangeable copies onto a group of the same size, and a
+    reduced extension lists every group in copy order, so the copy indices
+    carry over."""
+
+    def image(e: Element) -> Element:
+        if e[0] == "elev":
+            return ("elev", perm[e[1]], perm[e[2]], e[3], e[4])
+        return (e[0], perm[e[1]]) + e[2:]
 
     def apply(seq: Marking) -> Marking:
-        mapped = []
-        for e in seq:
-            if e[0] == "floor":
-                mapped.append(("floor", perm[e[1]]))
-            elif e[0] == "elev":
-                mapped.append(("elev", perm[e[1]], perm[e[2]], e[3], e[4]))
-            elif e[0] == "src":
-                mapped.append(("src", perm[e[1]], e[2]))
-            else:
-                mapped.append(("snk", perm[e[1]], e[2]))
-        # renormalize copy indices to first-appearance order within each group
-        counters: Dict[Tuple, int] = {}
-        out = []
-        for e in mapped:
-            if e[0] == "floor":
-                out.append(e)
-                continue
-            group = e[:-1]
-            c = counters.get(group, 0)
-            counters[group] = c + 1
-            out.append(group + (c,))
-        return tuple(out)
+        return tuple(image(e) for e in seq)
 
     return apply
 
@@ -172,7 +158,7 @@ def enumerate_markings(diagram: FloorDiagram) -> List[Marking]:
     free (orbit sizes all equal the group order) instead of assumed.
     """
     auts = vertex_automorphisms(diagram)
-    maps = [_induced_element_map(diagram, p) for p in auts]
+    maps = [_induced_element_map(p) for p in auts]
     seen = set()
     reps: List[Marking] = []
     for seq in iter_reduced_extensions(diagram):
@@ -389,7 +375,7 @@ def descendant_sum(diagram: FloorDiagram, pairing: Pairing) -> LaurentPoly:
     extensions and preserve mu_S, so dividing by their number gives the sum
     over marked classes; that division is checked to be exact.
     """
-    elems, _, preds = _poset_arrays(diagram)
+    elems, preds = reduced_poset(diagram)
     n = len(elems)
     full = (1 << n) - 1
     firsts = {i for i, _ in pairing}

@@ -1,10 +1,12 @@
 import json
+import shlex
 from pathlib import Path
 
 from floordiag import cli
 from floordiag.cli import main
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "perfbench" / "reference.json"
 
 
 def run(capsys, *argv):
@@ -169,6 +171,40 @@ def test_fit_grid_missing_variable_is_usage_error(capsys):
                        "--grid", "a=4..8,b=2..5")
     assert code == 2
     assert "missing ['n']" in err
+
+
+def test_grid_empty_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "fit", "--i", "1", "--genus", "1",
+                         "--grid", "a=5..3,b=2..5,n=1..3")
+    assert code == 2 and out == ""
+    assert "grid variable a has an empty range 5..3" in err
+
+
+def test_grid_unknown_variable_is_usage_error(capsys):
+    for argv in (["coeffs", "--i", "1", "--grid", "a=2..3,b=2..3,n=1..1,s=0..1,x=1"],
+                 ["fit", "--i", "1", "--grid", "a=3..5,b=2..4,n=1..3,s=0..2,x=1"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "grid sets x, which this command does not take" in err
+
+
+def test_fit_s_needs_genus_zero(capsys):
+    code, _, err = run(capsys, "fit", "--i", "0", "--genus", "1",
+                       "--grid", "a=4..7,b=1..3,n=1..3,s=0..2")
+    assert code == 2
+    assert "grid sets s, which this command does not take (it takes a, b, n)" in err
+
+
+def test_readme_commands_exit_zero(capsys, monkeypatch):
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    block = (ROOT / "README.md").read_text().split("## Command line")[1].split("```")[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 10
+    for argv in commands:
+        assert argv[0] == "floordiag"
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
 
 
 def test_fit_exit_code(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from floordiag.diagram import (
     FloorDiagram,
+    _consecutive,
     _labelled,
     canonical_form,
     canonical_key,
@@ -178,6 +179,33 @@ def test_codegree_zero_characterization():
             for v, (_, _, s, t) in enumerate(d.floors):
                 assert s == 0 or v == 0
                 assert t == 0 or v == a - 1
+
+
+def reachability_oracle(d):
+    """reach[i][j]: floor j lies above floor i along oriented elevators."""
+    a = d.n_floors
+    reach = [[False] * a for _ in range(a)]
+    for i, j, _ in d.elevators:
+        reach[i][j] = True
+    for k in range(a):
+        for i in range(a):
+            for j in range(a):
+                reach[i][j] |= reach[i][k] and reach[k][j]
+    return reach
+
+
+def test_layered_and_consecutive_match_reachability_oracle():
+    for poly in (make_delta_d(4), make_delta_abn(3, 1, 1), make_delta_abn(2, 3, 1)):
+        for g in range(lattice_stats(poly).interior + 1):
+            for d, _, _ in _labelled(poly, g, None):
+                reach = reachability_oracle(d)
+                a = d.n_floors
+                assert d.is_layered() == all(reach[v][v + 1] for v in range(a - 1))
+                for v1 in range(a):
+                    for v2 in range(a):
+                        covers = reach[v1][v2] and not any(
+                            reach[v1][w] and reach[w][v2] for w in range(a))
+                        assert _consecutive(d, v1, v2) == covers, (d, v1, v2)
 
 
 def test_codegree_zero_marked_count_binomial():
@@ -400,6 +428,27 @@ def test_op_errors_on_missing_configuration():
                          ((0, 1, 2), (1, 2, 1)))
     with pytest.raises(ValueError):
         op_A_plus(chain, 0, ("elev", 1, 0))  # e2 adjacent to v2
+    with pytest.raises(ValueError):
+        op_A_minus(chain, 1, ("elev", 0, 0))  # e2 adjacent to v1
+    with pytest.raises(ValueError):
+        op_A_plus(chain, 0, ("snk", 0, 0))  # no sink at v1
+    with pytest.raises(ValueError):
+        op_A_minus(chain, 0, ("src", 1, 0))  # no source at v2
+    for op in (op_A_plus, op_A_minus):
+        with pytest.raises(ValueError):
+            op(chain, 0, ("floor", 0, 0))  # not an elevator, sink or source
+    with pytest.raises(ValueError):
+        op_A_plus(chain, 0, ("src", 0, 0))  # A+ moves no source
+    with pytest.raises(ValueError):
+        op_A_minus(chain, 0, ("snk", 1, 0))  # A- moves no sink
+    fan = FloorDiagram(((0, 1, 3, 0), (0, 1, 0, 0), (0, 1, 0, 0)),
+                       ((0, 1, 1), (0, 2, 1), (1, 2, 1)))
+    with pytest.raises(ValueError):
+        op_A_plus(fan, 1, ("elev", 0, 0))  # (0, 1) would become (2, 1)
+    with pytest.raises(ValueError):
+        op_A_minus(fan, 0, ("elev", 1, 0))  # e2 = (0, 2) does not end at v2 = 1
+    with pytest.raises(ValueError):
+        op_A_minus(fan, 1, ("elev", 2, 0))  # (1, 2) would become (1, 0)
     with pytest.raises(ValueError):
         op_B_l(chain, 0, 1)  # equal l labels
     for op in (op_B_l, op_B_r):

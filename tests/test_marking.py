@@ -11,13 +11,13 @@ from floordiag.marking import (
     count_markings,
     count_reduced_extensions,
     descendant_sum,
-    elements_of,
     enumerate_markings,
     is_compatible,
     iter_reduced_extensions,
     make_pairing,
     mu_S,
     parse_pairing,
+    reduced_poset,
 )
 from floordiag.polygon import (
     HTransversePolygon,
@@ -32,6 +32,7 @@ CHAIN2 = FloorDiagram(((0, 1, 3, 0), (0, 1, 0, 0), (0, 1, 0, 0)),
                       ((0, 1, 2), (1, 2, 1)))  # the weight-2 cubic chain
 CHAIN11 = FloorDiagram(((0, 1, 2, 0), (0, 1, 1, 0), (0, 1, 0, 0)),
                        ((0, 1, 1), (1, 2, 1)))  # displaced source
+MIXED = "ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1"
 STAR = FloorDiagram(((0, 1, 3, 0), (0, 1, 0, 0), (0, 1, 0, 0)),
                     ((0, 1, 1), (0, 2, 1)))
 
@@ -238,11 +239,40 @@ def test_mu_S_invariant_on_orbits():
 
     d = STAR
     auts = vertex_automorphisms(d)
-    maps = [_induced_element_map(d, p) for p in auts]
+    maps = [_induced_element_map(p) for p in auts]
     for m in iter_reduced_extensions(d):
         for S in all_pairings(d.n_marks(), 1):
             vals = {mu_S(d, f(m), S).key() for f in maps}
             assert len(vals) == 1
+
+
+def assert_automorphisms_permute_reduced_extensions(d):
+    """Each floor automorphism maps the reduced extensions onto themselves,
+    with the copy indices unchanged."""
+    from floordiag.diagram import vertex_automorphisms
+    from floordiag.marking import _induced_element_map
+
+    extensions = set(iter_reduced_extensions(d))
+    for p in vertex_automorphisms(d):
+        assert set(map(_induced_element_map(p), extensions)) == extensions, (d, p)
+
+
+@pytest.mark.parametrize("literal,max_codeg", [
+    ("abn:4,0,1", None), ("abn:3,1,1", None), ("abn:2,3,1", None), (MIXED, 3)])
+def test_automorphisms_permute_reduced_extensions(literal, max_codeg):
+    polygon = parse_polygon(literal)
+    for g in range(min(3, lattice_stats(polygon).interior) + 1):
+        for d in enumerate_floor_diagrams(polygon, g, max_codeg=max_codeg):
+            assert_automorphisms_permute_reduced_extensions(d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_polygons(), st.integers(0, 1))
+def test_automorphisms_permute_reduced_extensions_on_random_polygons(polygon, genus):
+    diagrams = enumerate_floor_diagrams(polygon, genus)
+    assume(sum(count_reduced_extensions(d) for d in diagrams) <= 20_000)
+    for d in diagrams:
+        assert_automorphisms_permute_reduced_extensions(d)
 
 
 def test_elevator_partition():
@@ -250,7 +280,7 @@ def test_elevator_partition():
     d = CHAIN2
     m = enumerate_markings(d)[0]
     S = make_pairing([(1, 2), (4, 5)])
-    elevs = [e for e in elements_of(d) if e[0] != "floor"]
+    elevs = [e for e in reduced_poset(d)[0] if e[0] != "floor"]
     in_pairs = set()
     for i, j in S:
         for e in (m[i - 1], m[j - 1]):
@@ -261,8 +291,6 @@ def test_elevator_partition():
 
 
 # -- the downset DP against the marking-by-marking oracle -----------------------
-
-MIXED = "ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1"
 
 
 def marking_oracle(d, pairing, markings):
