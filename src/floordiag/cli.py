@@ -66,11 +66,20 @@ def cmd_descendant(args) -> int:
     return 0
 
 
-def _parse_range(text: str) -> List[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split("|")]
+def _parse_range(key: str, text: str) -> List[int]:
+    """The values lo..hi (inclusive) or v1|v2|... of grid variable `key`."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(x) for x in text.split("|")]
+    except ValueError:
+        raise ValueError("grid variable %s has a malformed range %r (write lo..hi or v1|v2|...)"
+                         % (key, text)) from None
+    if not values:
+        raise ValueError("grid variable %s has an empty range %s" % (key, text))
+    return values
 
 
 def _parse_grid(text: str) -> Dict[str, List[int]]:
@@ -78,9 +87,9 @@ def _parse_grid(text: str) -> Dict[str, List[int]]:
     for item in text.split(","):
         key, _, val = item.partition("=")
         key = key.strip()
-        grid[key] = _parse_range(val)
-        if not grid[key]:
-            raise ValueError("grid variable %s has an empty range %s" % (key, val))
+        if key in grid:
+            raise ValueError("grid sets variable %s twice" % key)
+        grid[key] = _parse_range(key, val)
     return grid
 
 
@@ -385,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="exact polynomial fit of a coefficient over a grid")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--grid", required=True)
+    p.add_argument("--grid", required=True,
+                   help="a=4..8,b=2..5,n=1..4 or any distinct values, e.g. a=4|6|8|10|12")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("templates", help="enumerate the template census")

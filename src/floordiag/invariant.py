@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .diagram import enumerate_floor_diagrams, mult
+from .coeff import coeff_product_of_squares
+from .diagram import codegree_coefficient_sum, enumerate_floor_diagrams, mult
 from .laurent import LaurentPoly
 from .marking import (
     Pairing,
@@ -197,9 +198,6 @@ def invariant_codegree_coeff(
     so each labelled shape contributes assignments * extensions *
     coefficient in one step, with no canonical forms or automorphisms.
     """
-    from .coeff import coeff_product_of_squares
-    from .diagram import codegree_coefficient_sum
-
     def shape_term(pseudo, codeg):
         weights = [w for _, _, w in pseudo.elevators]
         return (count_reduced_extensions(pseudo, in_label_order=True)

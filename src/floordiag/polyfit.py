@@ -1,6 +1,7 @@
-"""Exact polynomial fitting: discrete derivatives, univariate interpolation,
-and multivariate polynomiality verification by tensor-grid forward
-differences.  All arithmetic is over Fraction; a nonzero residue is a
+"""Exact polynomial fitting: discrete derivatives, and interpolation on
+tensor grids of distinct integer values (one variable or several), with a
+polynomiality verifier on top.  One routine, Newton divided differences,
+does every fit.  All arithmetic is over Fraction; a nonzero residue is a
 failure, never noise.
 """
 
@@ -8,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from itertools import product
+from math import comb
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
@@ -87,41 +89,27 @@ def discrete_derivative(values: Sequence, n: int) -> List:
 
 
 def interpolate(points: Sequence[Tuple[int, Fraction]], variable: str = "x") -> RationalPoly:
-    """The unique polynomial of degree < len(points) through the given points."""
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation points must have distinct x values")
-    # Newton divided differences, then expansion into monomials.
-    coeffs = [Fraction(y) for _, y in points]
-    for k in range(1, len(points)):
-        for i in range(len(points) - 1, k - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - k])
-    poly: List[Fraction] = [Fraction(0)] * len(points)
-    basis = [Fraction(1)]  # product (x - x_0)...(x - x_{k-1})
-    for k, c in enumerate(coeffs):
-        for e, b in enumerate(basis):
-            poly[e] += c * b
-        new = [Fraction(0)] * (len(basis) + 1)
-        for e, b in enumerate(basis):
-            new[e + 1] += b
-            new[e] -= b * xs[k]
-        basis = new
-    return RationalPoly.from_dict(
-        (variable,), {(e,): c for e, c in enumerate(poly) if c != 0}
-    )
+    """The unique polynomial of degree < len(points) through the given points,
+    whose x values must be distinct but may come in any order."""
+    values = dict(points)
+    return fit_on_box(lambda **at: values[at[variable]], {variable: [x for x, _ in points]})
 
 
-def _binomial_poly(shift: int, k: int) -> List[Fraction]:
-    """Coefficients of C(x - shift, k) = (x-shift)(x-shift-1).../k! in x."""
-    poly = [Fraction(1)]
-    for j in range(k):
-        root = shift + j
-        new = [Fraction(0)] * (len(poly) + 1)
-        for e, c in enumerate(poly):
-            new[e + 1] += c
-            new[e] -= c * root
-        poly = new
-    return [c / Fraction(factorial(k)) for c in poly]
+def _newton_monomials(xs: Sequence[int], ys: Sequence[Fraction]) -> List[Fraction]:
+    """Monomial coefficients of the polynomial of degree < len(xs) through
+    (xs[k], ys[k]): Newton divided differences c_k in the basis
+    prod_{m<k} (x - x_m), expanded by Horner's rule."""
+    cs = list(ys)
+    for k in range(1, len(xs)):
+        for j in range(len(xs) - 1, k - 1, -1):
+            cs[j] = (cs[j] - cs[j - 1]) / (xs[j] - xs[j - k])
+    poly = [cs[-1]]
+    for k in range(len(xs) - 2, -1, -1):
+        poly = [Fraction(0)] + poly  # poly * (x - x_k) + c_k
+        for e in range(len(poly) - 1):
+            poly[e] -= xs[k] * poly[e + 1]
+        poly[0] += cs[k]
+    return poly
 
 
 @dataclass
@@ -152,10 +140,11 @@ class FitReport:
 def fit_on_box(
     sampler: Callable[..., int], box: Mapping[str, Sequence[int]]
 ) -> RationalPoly:
-    """Exact tensor-grid Newton fit on a box of consecutive integer values.
+    """Exact tensor-grid Newton fit on a box of distinct integer values.
 
-    Each axis must be a run of consecutive integers; the fitted polynomial
-    has degree < len(axis) in each variable and matches every grid point.
+    Each axis is a list of distinct integers in any order; the fitted
+    polynomial has degree < len(axis) in each variable and matches every
+    grid point.
     """
     poly, _ = _fit_with_grid(sampler, box)
     return poly
@@ -167,58 +156,19 @@ def _fit_with_grid(
     names = tuple(box)
     axes = [list(box[v]) for v in names]
     for v, axis in zip(names, axes):
-        if any(axis[k + 1] - axis[k] != 1 for k in range(len(axis) - 1)):
-            raise ValueError("axis %s is not a run of consecutive integers" % v)
-    # tabulate
-    grid: Dict[Tuple[int, ...], Fraction] = {}
-
-    def fill(prefix):
-        d = len(prefix)
-        if d == len(names):
-            grid[prefix] = Fraction(sampler(**dict(zip(names, prefix))))
-            return
-        for x in axes[d]:
-            fill(prefix + (x,))
-
-    fill(())
-    # iterated forward differences along each axis
-    diff = dict(grid)
+        if len(set(axis)) != len(axis):
+            raise ValueError("axis %s repeats a value: %s" % (v, axis))
+    grid = {pt: Fraction(sampler(**dict(zip(names, pt)))) for pt in product(*axes)}
+    # Keyed by index along each axis: sample values at first; after the pass
+    # along axis d, index k of that axis holds the coefficient of x_d^k.
+    table = dict(zip(product(*(range(len(axis)) for axis in axes)), grid.values()))
     for d, axis in enumerate(axes):
-        new: Dict[Tuple[int, ...], Fraction] = {}
-        for pt in diff:
-            if pt[d] != axis[0]:
-                continue
-            seq = []
-            key = list(pt)
-            for x in axis:
-                key[d] = x
-                seq.append(diff[tuple(key)])
-            # forward differences: delta^k f at the axis origin
-            for k in range(len(seq)):
-                key[d] = axis[0] + k  # reuse the slot as the difference order
-                new[tuple(key)] = seq[0]
-                seq = [b - a for a, b in zip(seq, seq[1:])]
-        diff = new
-    # Newton-basis coefficients expand into monomials
-    poly: PolyDict = {}
-    for orders_pt, c in diff.items():
-        if c == 0:
-            continue
-        orders = tuple(o - axis[0] for o, axis in zip(orders_pt, axes))
-        expansion: Dict[Monomial, Fraction] = {(): Fraction(1)}
-        for d, k in enumerate(orders):
-            binom = _binomial_poly(axes[d][0], k)
-            new_exp: Dict[Monomial, Fraction] = {}
-            for mono, mc in expansion.items():
-                for e, bc in enumerate(binom):
-                    if bc == 0:
-                        continue
-                    key = mono + (e,)
-                    new_exp[key] = new_exp.get(key, Fraction(0)) + mc * bc
-            expansion = new_exp
-        for mono, mc in expansion.items():
-            poly[mono] = poly.get(mono, Fraction(0)) + c * mc
-    return RationalPoly.from_dict(names, poly), grid
+        for start in [idx for idx in table if idx[d] == 0]:
+            line = [start[:d] + (k,) + start[d + 1:] for k in range(len(axis))]
+            ys = [table[key] for key in line]
+            if any(ys):  # a line of zeros fits the zero polynomial as it stands
+                table.update(zip(line, _newton_monomials(axis, ys)))
+    return RationalPoly.from_dict(names, table), grid
 
 
 def verify_polynomiality(
@@ -231,7 +181,7 @@ def verify_polynomiality(
     """Fit on the box, check exactness, per-variable degrees, and one
     held-out point per report.
 
-    Each axis needs degrees[v] + 2 consecutive points: one extra point per
+    Each axis needs degrees[v] + 2 distinct points: one extra point per
     axis beyond the claimed degree, so the degree claim itself is tested.
     """
     names = tuple(box.keys())

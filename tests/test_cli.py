@@ -180,6 +180,23 @@ def test_grid_empty_range_is_usage_error(capsys):
     assert "grid variable a has an empty range 5..3" in err
 
 
+def test_grid_repeated_variable_is_usage_error(capsys):
+    for var, argv in (
+            ("a", ["coeffs", "--i", "1", "--grid", "a=2..3,a=9..9,b=2..2,n=1..1,s=0..0"]),
+            ("b", ["fit", "--i", "0", "--genus", "1", "--grid", "a=4..7,b=1..3,n=1..3,b=2..4"])):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "grid sets variable %s twice" % var in err
+
+
+def test_grid_malformed_range_is_usage_error(capsys):
+    for bad in ("x", "2|x", "2..3..4", "", "2..x"):
+        code, out, err = run(capsys, "fit", "--i", "0", "--genus", "1",
+                             "--grid", "a=%s,b=1..3,n=1..3" % bad)
+        assert code == 2 and out == "", bad
+        assert "grid variable a has a malformed range %r" % bad in err
+
+
 def test_grid_unknown_variable_is_usage_error(capsys):
     for argv in (["coeffs", "--i", "1", "--grid", "a=2..3,b=2..3,n=1..1,s=0..1,x=1"],
                  ["fit", "--i", "1", "--grid", "a=3..5,b=2..4,n=1..3,s=0..2,x=1"]):
@@ -208,10 +225,13 @@ def test_readme_commands_exit_zero(capsys, monkeypatch):
 
 
 def test_fit_exit_code(capsys):
-    code, out, _ = run(capsys, "fit", "--i", "0", "--genus", "1",
-                       "--grid", "a=4..7,b=1..3,n=1..3")
-    assert code == 0
-    assert json.loads(out)["passed"]
+    fits = []
+    for grid in ("a=4..7,b=1..3,n=1..3", "a=10|4|8|6,b=3|1|2,n=1..3"):
+        code, out, _ = run(capsys, "fit", "--i", "0", "--genus", "1", "--grid", grid)
+        assert code == 0, grid
+        fits.append(json.loads(out))
+        assert fits[-1]["passed"]
+    assert fits[0]["polynomial"] == fits[1]["polynomial"]
 
 
 def test_cache_commands(capsys):

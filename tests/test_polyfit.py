@@ -63,11 +63,17 @@ def test_interpolate_cubic_constants_leading():
 def test_interpolate_linear_drop():
     poly = interpolate([(s, 10 - 2 * s) for s in range(5)], "s")
     assert poly.as_dict() == {(0,): Fraction(10), (1,): Fraction(-2)}
+    unsorted = interpolate([(s, 10 - 2 * s) for s in (7, -1, 3, 0, 12)], "s")
+    assert unsorted == poly
 
 
 def test_interpolate_duplicate_x():
     with pytest.raises(ValueError):
         interpolate([(0, 1), (0, 2)])
+    with pytest.raises(ValueError, match="axis y repeats a value"):
+        fit_on_box(lambda x, y: x + y, {"x": [0, 1], "y": [2, 3, 2]})
+    with pytest.raises(ValueError, match="axis x repeats a value"):
+        verify_polynomiality(lambda x: x, {"x": [0, 1, 2, 1]}, {"x": 1})
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,6 +93,9 @@ def test_fit_on_box_exact_bivariate():
     poly = fit_on_box(sampler, {"x": [2, 3, 4, 5], "y": [0, 1, 2]})
     assert poly.evaluate((10, 4)) == sampler(x=10, y=4)
     assert poly.degree_in(0) == 2 and poly.degree_in(1) == 1
+    assert poly.as_dict() == {(2, 1): 3, (0, 1): -2, (1, 0): 1, (0, 0): 7}
+    # any distinct values in any order give the same polynomial
+    assert fit_on_box(sampler, {"x": [9, -3, 5, 2], "y": [4, 0, -7]}) == poly
 
 
 def test_verify_polynomiality_pass():
