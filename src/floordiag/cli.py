@@ -79,6 +79,8 @@ def _parse_range(key: str, text: str) -> List[int]:
                          % (key, text)) from None
     if not values:
         raise ValueError("grid variable %s has an empty range %s" % (key, text))
+    if len(set(values)) != len(values):
+        raise ValueError("grid variable %s repeats a value in %s" % (key, text))
     return values
 
 

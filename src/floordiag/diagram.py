@@ -10,11 +10,14 @@ Enumeration walks the floors bottom to top for each order of the l and r
 labels, placing each floor's sources and sinks and tracking the multiset
 of open elevators; it yields every labelled diagram once.  One walk serves
 labelled diagrams and diagram shapes (heavy short elevators left free).
-enumerate_floor_diagrams merges isomorphic labellings through canonical
-forms; codegree_coefficient_sum sums over the labelled shapes as they come,
-so the codegree path needs no canonical forms or automorphisms.  The key
-accounting identity, with iota the interior lattice count and E0 the
-internal elevator set:
+The walk spends its edge budget exactly: a floor opens at least the
+elevators that the floors above it cannot, so the floor below the top
+opens all that are left.  enumerate_floor_diagrams keeps, of each class,
+the one labelling that is its own canonical form (is_canonical), so it
+builds no canonical forms; codegree_coefficient_sum sums over the
+labelled shapes as they come, so the codegree path needs no canonical
+forms or automorphisms.  The key accounting identity, with iota the
+interior lattice count and E0 the internal elevator set:
 
     codeg(D) = iota + a - 1 - sum(F_gap)  +  sum((span(e) - 1) * w(e))
 
@@ -225,6 +228,39 @@ def canonical_key(diagram: FloorDiagram) -> Tuple:
     return canonical_form(diagram).key()
 
 
+def is_canonical(diagram: FloorDiagram) -> bool:
+    """True when no relabelling has a smaller key: canonical_form(d) == d.
+
+    The search follows the diagram's own floor sequence, placing at each
+    position the ready floors equal to the diagram's floor there, and
+    stops at the first ready floor that is smaller or the first complete
+    relabelling whose elevators sort smaller.
+    """
+    a = diagram.n_floors
+    floors, elevators = diagram.floors, diagram.elevators
+    below = _below(diagram)
+    p = [0] * a
+
+    def rec(pos: int, placed: int) -> bool:
+        if pos == a:
+            return tuple(sorted([(p[i], p[j], w) for i, j, w in elevators])) >= elevators
+        own = floors[pos]
+        same = []  # the ready floors equal to the diagram's floor at pos
+        for v in range(a):
+            if not placed >> v & 1 and not below[v] & ~placed:
+                if floors[v] < own:
+                    return False
+                if floors[v] == own:
+                    same.append(v)
+        for v in same:
+            p[v] = pos
+            if not rec(pos + 1, placed | 1 << v):
+                return False
+        return True
+
+    return rec(0, 0)
+
+
 def vertex_automorphisms(diagram: FloorDiagram) -> List[Tuple[int, ...]]:
     """Floor permutations preserving labels, decorations and weighted elevators.
 
@@ -338,9 +374,10 @@ def _sub_multisets(items: Sequence[Tuple[int, int]]) -> Iterator[Tuple[Tuple[int
 
 
 def _openings(
-    total: int, cap: int, free_above: Optional[int]
+    total: int, least: int, cap: int, free_above: Optional[int]
 ) -> Iterator[Tuple[Tuple[int, ...], int, int, int]]:
-    """Ways to open at most `cap` elevators carrying `total` > 0 out of a floor.
+    """Ways to open between `least` and `cap` elevators, free slots
+    included, carrying `total` > 0 out of a floor.
 
     Yields (explicit weights, free slots, free total, assignments).  Weights
     above `free_above` go to free slots, whose ordered weight assignments are
@@ -361,7 +398,8 @@ def _openings(
                 for k in range(1, min(cap, free // (free_above + 1)) + 1)
             ]
         for k_free, ways in frees:
-            for k in range(1 if explicit else 0, min(cap - k_free, explicit) + 1):
+            for k in range(max(least - k_free, 1 if explicit else 0),
+                           min(cap - k_free, explicit) + 1):
                 for weights in compositions(explicit, k, free_above):
                     yield weights, k_free, free, ways
 
@@ -408,6 +446,15 @@ def run_enumeration_task(
     closed elevators with more independent cycles than the genus, are cut
     where they appear; the top floor must join every component left.
 
+    The a-1+genus edges are budgeted exactly.  Of the `room` edges still
+    to open when floor j is reached, a floor k in j+1..a-2 can open at
+    most the weight crossing gap k (every elevator, free slots included,
+    carries weight >= 1), and that weight is at most d_b minus the sinks
+    on floors 0..j minus divs[0..k].  Floor j opens at least the rest,
+    and a branch that cannot is cut; on floor a-2 nothing is left to the
+    floors above, so it opens exactly the edges left and the top floor
+    needs no edge count.
+
     With free_above=None every weight is explicit and assignments is 1.
     With free_above=i (and max_codeg=i) the diagrams are shapes: elevators
     heavier than i become free slots of weight i+1, and assignments counts
@@ -421,6 +468,12 @@ def run_enumeration_task(
     divs = [r - l for l, r in zip(ls, rs)]
     base = _base_codegree(polygon, ls, rs, iota)
     target_edges = a - 1 + genus
+    # most[j][u]: the most elevators floors j+1..a-2 can open when u sinks
+    # are left for them.  The weight crossing gap k is at most
+    # d_b - (d_t - u) - sums[k+1]: every source below it and no further sink
+    sums = list(itertools.accumulate(divs, initial=0))
+    most = [[sum(max(0, polygon.d_b - polygon.d_t + u - x) for x in sums[j + 2:a])
+             for u in range(polygon.d_t + 1)] for j in range(a)]
     found: List[Tuple[FloorDiagram, int, int]] = []
 
     srcs, snks = [0] * a, [0] * a  # sources and sinks of the floors below j
@@ -438,13 +491,13 @@ def run_enumeration_task(
         free_edges = [(j - 1, j, free_above + 1)] * n_free if n_free else []
         if j == a - 1:
             # the top floor takes the sources and sinks left, and every open
-            # elevator closes there and must join every component
+            # elevator closes there and must join every component; floor a-2
+            # opened exactly the edges left, so the edge count is met
             codeg = base + placed + j * src_left + span_cost
             joined = {comp[o] for o, _ in open_edges}
             if n_free:
                 joined.add(comp[j - 1])
-            if (codeg > bound or len(edges) + len(open_edges) + n_free != target_edges
-                    or len(joined) < len(set(comp))):
+            if codeg > bound or len(joined) < len(set(comp)):
                 return
             srcs[j], snks[j] = src_left, snk_left
             floors = tuple(zip(ls, rs, srcs, snks))
@@ -467,6 +520,10 @@ def run_enumeration_task(
                 here = placed + j * s + (a - 1 - j) * t
                 flow = in_flow + s - t - divs[j]
                 least = base + here + (j + 1) * (src_left - s)
+                # floors j+1..a-2 open at most most[j][sinks left], so floor j
+                # opens at least must_open, and at least need if it opens any
+                must_open = room - most[j][snk_left - t]
+                need = max(must_open, 1)
                 for closed in _sub_multisets(open_edges):
                     out_total = s + free_in + sum(w for _, w in closed) - t - divs[j]
                     if out_total < 0:
@@ -476,6 +533,8 @@ def run_enumeration_task(
                         still_open.remove(e)
                     cost = span_cost + sum(w for _, w in still_open)
                     if least + cost > bound:
+                        continue
+                    if not out_total and must_open > 0:
                         continue
                     # a subgraph has no more independent cycles than the diagram
                     joined = {comp[o] for o, _ in closed}
@@ -498,9 +557,10 @@ def run_enumeration_task(
                     # a gap crossed by c elevators forces c-1 units of genus or
                     # span surplus, so c is capped by 1 + genus + the span allowance
                     cap = min(room, 1 + genus + bound - least - len(still_open))
-                    if cap < 1:
+                    if cap < need:
                         continue
-                    for weights, k_free, free_total, ways in _openings(out_total, cap, free_above):
+                    for weights, k_free, free_total, ways in _openings(
+                            out_total, must_open, cap, free_above):
                         opened = tuple(sorted(still_open + [(j, w) for w in weights]))
                         rec(j + 1, src_left - s, snk_left - t, here, flow, opened, k_free,
                             free_total, new_edges, new_comp, new_cycles, cost, assign * ways)
@@ -540,11 +600,9 @@ def enumerate_floor_diagrams(
     With max_codeg set, only classes of codegree <= max_codeg are produced
     (exactly the ones contributing to the top max_codeg+1 coefficients).
     """
-    classes: Dict[Tuple, FloorDiagram] = {}
-    for d, _, _ in _labelled(polygon, genus, max_codeg):
-        c = canonical_form(d)
-        classes.setdefault(c.key(), c)
-    return [classes[k] for k in sorted(classes)]
+    # the walk yields each labelling once, so each class's canonical form once
+    classes = [d for d, _, _ in _labelled(polygon, genus, max_codeg) if is_canonical(d)]
+    return sorted(classes, key=FloorDiagram.key)
 
 
 def codegree_coefficient_sum(

@@ -189,6 +189,14 @@ def test_grid_repeated_variable_is_usage_error(capsys):
         assert "grid sets variable %s twice" % var in err
 
 
+def test_grid_repeated_value_is_usage_error(capsys):
+    for argv in (["coeffs", "--i", "1", "--grid", "a=3|3,b=2..2,n=1..1,s=0..0"],
+                 ["fit", "--i", "0", "--genus", "1", "--grid", "a=3|3,b=1..3,n=1..3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "grid variable a repeats a value in 3|3" in err
+
+
 def test_grid_malformed_range_is_usage_error(capsys):
     for bad in ("x", "2|x", "2..3..4", "", "2..x"):
         code, out, err = run(capsys, "fit", "--i", "0", "--genus", "1",

@@ -13,6 +13,7 @@ from floordiag.diagram import (
     canonical_key,
     codegree,
     enumerate_floor_diagrams,
+    is_canonical,
     mult,
     op_A_minus,
     op_A_plus,
@@ -27,9 +28,9 @@ from floordiag.polygon import HTransversePolygon, lattice_stats, make_delta_abn,
 from strategies import small_polygons
 
 
-def brute_force_classes(poly, genus):
-    """Independent generator: all labelled weighted DAGs on ordered floors
-    satisfying the divergence equations, bucketed by canonical form."""
+def brute_force_labelled(poly, genus):
+    """Independent generator: the keys of all labelled weighted DAGs on
+    ordered floors satisfying the divergence equations."""
     a = poly.height
     iota = lattice_stats(poly).interior
     if genus > iota:
@@ -69,8 +70,22 @@ def brute_force_classes(poly, genus):
                             continue
                         d = FloorDiagram(tuple(zip(ls, rs, src, snk)), edges)
                         if not validate(d, poly):
-                            found.add(canonical_key(d))
+                            found.add(d.key())
     return found
+
+
+def brute_force_classes(poly, genus):
+    """The brute-force labelled diagrams, bucketed by canonical form."""
+    return {canonical_key(FloorDiagram(*k)) for k in brute_force_labelled(poly, genus)}
+
+
+def dedupe_by_canonical_form(poly, genus, max_codeg=None):
+    """The class list built by canonicalising every labelled diagram."""
+    classes = {}
+    for d, _, _ in _labelled(poly, genus, max_codeg):
+        c = canonical_form(d)
+        classes.setdefault(c.key(), c)
+    return [classes[k] for k in sorted(classes)]
 
 
 def _distributions(total, parts):
@@ -120,7 +135,9 @@ def test_sweep_matches_bruteforce_on_random_polygons(poly):
     # l and r labels, which the walk places floor by floor
     iota = lattice_stats(poly).interior
     for g in range(min(1, iota) + 1):
-        slow = brute_force_classes(poly, g)
+        labelled = brute_force_labelled(poly, g)
+        assert_walk_matches_brute_force_labelled(poly, g, labelled)
+        slow = {canonical_key(FloorDiagram(*k)) for k in labelled}
         for max_codeg in (None, 0, 1, 2):
             fast = {canonical_key(d) for d in enumerate_floor_diagrams(poly, g, max_codeg)}
             assert fast == {
@@ -130,6 +147,47 @@ def test_sweep_matches_bruteforce_on_random_polygons(poly):
         full = refined_invariant(poly, g)
         for i in range(min(2, iota - g) + 1):
             assert invariant_codegree_coeff(poly, g, i) == full.coeff2(2 * (iota - g - i))
+
+
+def assert_walk_matches_brute_force_labelled(poly, genus, slow):
+    # every labelled diagram once, with its codegree and one assignment
+    for max_codeg in (None, 0, 1):
+        walked = list(_labelled(poly, genus, max_codeg))
+        keys = [d.key() for d, _, _ in walked]
+        assert len(keys) == len(set(keys)), (poly, genus, max_codeg)
+        assert set(keys) == {
+            k for k in slow
+            if max_codeg is None or codegree(FloorDiagram(*k)) <= max_codeg
+        }, (poly, genus, max_codeg)
+        assert all(assign == 1 and codeg == codegree(d) for d, assign, codeg in walked)
+
+
+@pytest.mark.parametrize("poly,gmax", [
+    (make_delta_d(4), 3),
+    (make_delta_abn(3, 1, 1), 2),
+    (HTransversePolygon((0, 1), (1, 1), 2, 1), 1),
+])
+def test_labelled_walk_matches_bruteforce(poly, gmax):
+    for g in range(gmax + 1):
+        assert_walk_matches_brute_force_labelled(poly, g, brute_force_labelled(poly, g))
+
+
+def test_classes_match_dedupe_by_canonical_form():
+    polys = [(make_delta_d(4), 3), (make_delta_abn(3, 1, 1), 2),
+             (HTransversePolygon((-2, 0, 1, 1), (2, 0, 0, -1), 2, 1), 1)]
+    for poly, gmax in polys:
+        for g in range(gmax + 1):
+            for max_codeg in (None, 0, 1, 2):
+                assert (enumerate_floor_diagrams(poly, g, max_codeg)
+                        == dedupe_by_canonical_form(poly, g, max_codeg)), (poly, g, max_codeg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_polygons(), st.integers(0, 2))
+def test_classes_match_dedupe_by_canonical_form_on_random_polygons(poly, genus):
+    for max_codeg in (None, 0, 1):
+        assert (enumerate_floor_diagrams(poly, genus, max_codeg)
+                == dedupe_by_canonical_form(poly, genus, max_codeg))
 
 
 def test_max_codeg_restriction():
@@ -308,7 +366,9 @@ def brute_force_automorphisms(diagram):
 
 
 def assert_search_matches_brute_force(diagram):
-    assert canonical_form(diagram) == brute_force_canonical_form(diagram), diagram
+    least = brute_force_canonical_form(diagram)
+    assert canonical_form(diagram) == least, diagram
+    assert is_canonical(diagram) == (least == diagram), diagram
     auts = vertex_automorphisms(diagram)
     assert len(set(auts)) == len(auts)
     assert set(auts) == brute_force_automorphisms(diagram), diagram
