@@ -16,7 +16,9 @@ opens all that are left.  enumerate_floor_diagrams keeps, of each class,
 the one labelling that is its own canonical form (is_canonical), so it
 builds no canonical forms; codegree_coefficient_sum sums over the
 labelled shapes as they come, so the codegree path needs no canonical
-forms or automorphisms.  The key accounting identity, with iota the
+forms or automorphisms.  canonical_form serves the codegree-reducing
+operations; a layered diagram has one topological order, so it is its
+own canonical form.  The key accounting identity, with iota the
 interior lattice count and E0 the internal elevator set:
 
     codeg(D) = iota + a - 1 - sum(F_gap)  +  sum((span(e) - 1) * w(e))
@@ -181,47 +183,35 @@ def _below(diagram: FloorDiagram) -> List[int]:
 
 
 def canonical_form(diagram: FloorDiagram) -> FloorDiagram:
-    """The minimal relabelling; identical for isomorphic diagrams.
+    """The least relabelling; identical for isomorphic diagrams.
 
-    The floor sequence leads the key, so the search places at each
-    position only the ready floors of the least value, and cuts a branch
-    whose floor prefix exceeds the best one found.
+    The floor sequence leads the key, so only a relabelling that places a
+    ready floor of the least value at each position can be least.  The
+    search lists every such relabelling and returns the least.
     """
     a = diagram.n_floors
     floors, elevators = diagram.floors, diagram.elevators
     below = _below(diagram)
     p = [0] * a  # old label -> new label
     order: List[int] = []
-    best: List[Tuple] = []  # the least (floors, elevators) found so far
+    found: List[Tuple] = []  # (floors, elevators) of each relabelling
 
-    def rec(pos: int, placed: int, tight: bool) -> bool:
-        # tight: the floors placed so far equal best's first pos floors;
-        # returns whether best was replaced below here
+    def rec(pos: int, placed: int) -> None:
         if pos == a:
-            elevs = tuple(sorted([(p[i], p[j], w) for i, j, w in elevators]))
-            if not tight or elevs < best[1]:
-                best[:] = [tuple(floors[v] for v in order), elevs]
-                return True
-            return False
+            found.append((tuple(floors[v] for v in order),
+                          tuple(sorted([(p[i], p[j], w) for i, j, w in elevators]))))
+            return
         ready = [v for v in range(a) if not placed >> v & 1 and not below[v] & ~placed]
         least = min(floors[v] for v in ready)
-        if tight:
-            if least > best[0][pos]:
-                return False
-            tight = least == best[0][pos]
-        replaced = False
         for v in ready:
             if floors[v] == least:
                 p[v] = pos
                 order.append(v)
-                if rec(pos + 1, placed | 1 << v, tight):
-                    # the new best runs through this prefix
-                    replaced = tight = True
+                rec(pos + 1, placed | 1 << v)
                 order.pop()
-        return replaced
 
-    rec(0, 0, False)
-    return FloorDiagram(*best)
+    rec(0, 0)
+    return FloorDiagram(*min(found))
 
 
 def canonical_key(diagram: FloorDiagram) -> Tuple:
@@ -357,30 +347,31 @@ def bounded_vectors(costs: Sequence[int], budget: int) -> Iterator[Tuple[int, ..
     yield from rec(0, budget)
 
 
-def _sub_multisets(items: Sequence[Tuple[int, int]]) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """All sub-multisets of a sorted tuple of (origin, weight) pairs."""
+def _splits(items: Tuple[Tuple[int, int], ...]) -> Iterator[Tuple[Tuple, Tuple]]:
+    """Every split of a sorted tuple of (origin, weight) pairs into two
+    sorted sub-multisets (closed, still_open)."""
     groups = [(k, len(list(g))) for k, g in itertools.groupby(items)]
 
     def rec(idx):
         if idx == len(groups):
-            yield ()
+            yield (), ()
             return
         key, mult = groups[idx]
-        for tail in rec(idx + 1):
+        for closed, still_open in rec(idx + 1):
             for take in range(mult + 1):
-                yield (key,) * take + tail
+                yield (key,) * take + closed, (key,) * (mult - take) + still_open
 
     yield from rec(0)
 
 
 def _openings(
     total: int, least: int, cap: int, free_above: Optional[int]
-) -> Iterator[Tuple[Tuple[int, ...], int, int, int]]:
+) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
     """Ways to open between `least` and `cap` elevators, free slots
     included, carrying `total` > 0 out of a floor.
 
-    Yields (explicit weights, free slots, free total, assignments).  Weights
-    above `free_above` go to free slots, whose ordered weight assignments are
+    Yields (explicit weights, free slots, assignments).  Weights above
+    `free_above` go to free slots, whose ordered weight assignments are
     counted rather than listed; free_above=None keeps every weight explicit.
     """
     if free_above is None:
@@ -401,7 +392,7 @@ def _openings(
             for k in range(max(least - k_free, 1 if explicit else 0),
                            min(cap - k_free, explicit) + 1):
                 for weights in compositions(explicit, k, free_above):
-                    yield weights, k_free, free, ways
+                    yield weights, k_free, ways
 
 
 def _base_codegree(
@@ -480,14 +471,14 @@ def run_enumeration_task(
     # one copy of each floor list and elevator, shared by the diagrams found
     shared: Dict[Tuple, Tuple] = {}
 
-    def rec(j, src_left, snk_left, placed, in_flow, open_edges, n_free, free_in,
+    def rec(j, src_left, snk_left, placed, in_flow, open_edges, n_free,
             edges, comp, cycles, span_cost, assign):
         # open_edges: sorted (origin, weight) pairs crossing gap j-1; the
-        # n_free free slots, carrying free_in in total, all close at floor j,
-        # and in_flow is the weight of both.  placed: the placement cost of
-        # the sources and sinks below floor j.  comp labels the connected
-        # component of each floor below j under the closed elevators `edges`,
-        # which hold `cycles` independent cycles
+        # n_free free slots all close at floor j, and in_flow is the weight
+        # of both.  placed: the placement cost of the sources and sinks
+        # below floor j.  comp labels the connected component of each floor
+        # below j under the closed elevators `edges`, which hold `cycles`
+        # independent cycles
         free_edges = [(j - 1, j, free_above + 1)] * n_free if n_free else []
         if j == a - 1:
             # the top floor takes the sources and sinks left, and every open
@@ -524,14 +515,14 @@ def run_enumeration_task(
                 # opens at least must_open, and at least need if it opens any
                 must_open = room - most[j][snk_left - t]
                 need = max(must_open, 1)
-                for closed in _sub_multisets(open_edges):
-                    out_total = s + free_in + sum(w for _, w in closed) - t - divs[j]
+                for closed, still_open in _splits(open_edges):
+                    # an elevator kept open crosses gap j: its weight adds to
+                    # the span cost and is not left to open here
+                    kept = sum(w for _, w in still_open)
+                    out_total = flow - kept
                     if out_total < 0:
                         continue
-                    still_open = list(open_edges)
-                    for e in closed:
-                        still_open.remove(e)
-                    cost = span_cost + sum(w for _, w in still_open)
+                    cost = span_cost + kept
                     if least + cost > bound:
                         continue
                     if not out_total and must_open > 0:
@@ -551,21 +542,22 @@ def run_enumeration_task(
                         new_comp = comp + (label,)
                     new_edges = edges + [(o, j, w) for o, w in closed] + free_edges
                     if out_total == 0:
-                        rec(j + 1, src_left - s, snk_left - t, here, flow, tuple(still_open),
-                            0, 0, new_edges, new_comp, new_cycles, cost, assign)
+                        rec(j + 1, src_left - s, snk_left - t, here, flow, still_open,
+                            0, new_edges, new_comp, new_cycles, cost, assign)
                         continue
                     # a gap crossed by c elevators forces c-1 units of genus or
                     # span surplus, so c is capped by 1 + genus + the span allowance
                     cap = min(room, 1 + genus + bound - least - len(still_open))
                     if cap < need:
                         continue
-                    for weights, k_free, free_total, ways in _openings(
+                    for weights, k_free, ways in _openings(
                             out_total, must_open, cap, free_above):
-                        opened = tuple(sorted(still_open + [(j, w) for w in weights]))
+                        # origins below j, then nondecreasing weights: sorted
+                        opened = still_open + tuple((j, w) for w in weights)
                         rec(j + 1, src_left - s, snk_left - t, here, flow, opened, k_free,
-                            free_total, new_edges, new_comp, new_cycles, cost, assign * ways)
+                            new_edges, new_comp, new_cycles, cost, assign * ways)
 
-    rec(0, polygon.d_b, polygon.d_t, 0, 0, (), 0, 0, [], (), 0, 0, 1)
+    rec(0, polygon.d_b, polygon.d_t, 0, 0, (), 0, [], (), 0, 0, 1)
     return found
 
 

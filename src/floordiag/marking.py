@@ -231,7 +231,11 @@ def parse_pairing(text: str) -> Pairing:
     pairs = []
     for item in body.split(","):
         i, _, j = item.partition("-")
-        pairs.append((int(i), int(j)))
+        try:
+            pairs.append((int(i), int(j)))
+        except ValueError:
+            raise ValueError("pairing literal %r has a pair %r that is not i-j"
+                             % (text, item)) from None
     return make_pairing(pairs)
 
 

@@ -154,22 +154,25 @@ def parse_polygon(text: str) -> HTransversePolygon:
     """Parse a polygon literal: 'abn:a,b,n' or 'ht:dl=[...];dr=[...];db=N;dt=M'."""
     text = text.strip()
     if text.startswith("abn:"):
-        parts = text[4:].split(",")
-        if len(parts) != 3:
-            raise ValueError("abn literal needs three integers, e.g. abn:3,0,1")
-        a, b, n = (int(x) for x in parts)
+        try:
+            a, b, n = (int(x) for x in text[4:].split(","))
+        except ValueError:
+            raise ValueError("abn literal %r needs three integers a,b,n" % text) from None
         return make_delta_abn(a, b, n)
     if text.startswith("ht:"):
-        fields = {}
-        for item in text[3:].split(";"):
-            k, _, v = item.partition("=")
-            fields[k.strip()] = v.strip()
+        items = [item.partition("=") for item in text[3:].split(";")]
+        fields = {k.strip(): v.strip() for k, _, v in items}
+        if len(items) != 4 or sorted(fields) != ["db", "dl", "dr", "dt"]:
+            raise ValueError("ht literal %r needs the fields dl, dr, db and dt, each once" % text)
         try:
-            d_l = [int(x) for x in fields["dl"].strip("[]").split(",") if x.strip() != ""]
-            d_r = [int(x) for x in fields["dr"].strip("[]").split(",") if x.strip() != ""]
+            if not all(fields[k].startswith("[") and fields[k].endswith("]") for k in ("dl", "dr")):
+                raise ValueError
+            d_l = [int(x) for x in fields["dl"][1:-1].split(",")]
+            d_r = [int(x) for x in fields["dr"][1:-1].split(",")]
             d_b = int(fields["db"])
             d_t = int(fields["dt"])
-        except KeyError as exc:
-            raise ValueError("ht literal needs dl, dr, db and dt fields") from exc
+        except ValueError:
+            raise ValueError("ht literal %r needs integer lists dl=[...] and dr=[...] and integers "
+                             "db and dt" % text) from None
         return ensure_valid(HTransversePolygon(tuple(d_l), tuple(d_r), d_b, d_t))
     raise ValueError("unknown polygon literal %r (use abn:... or ht:...)" % text)

@@ -10,7 +10,10 @@ position sets below allow).  Sources never sit on the minimal vertex and
 sinks never on the maximal one: the reconstruction owns those slots.
 Templates with both sources and sinks cannot appear in any admissible
 collection (sources force the first slot, sinks the last), so they are
-excluded as well.
+excluded as well.  reconstructions rebuilds the layered diagrams of a
+collection at given positions in one pass; every gap of such a diagram
+carries a short edge, so its one topological order makes it its own
+canonical form.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import (
+    Elevator,
     FloorDiagram,
     bounded_vectors,
-    canonical_key,
     codegree,
     compositions,
     enumerate_floor_diagrams,
@@ -341,7 +344,7 @@ def enumerate_admissible_collections(
                     rec(j + 1, g_left - g, c_left - c, acc + [t])
 
         rec(0, genus, codeg, [])
-    return [col for col in out if col.is_admissible()]
+    return out
 
 
 def positions(collection: AdmissibleCollection, a: int) -> Iterator[Tuple[int, ...]]:
@@ -373,108 +376,47 @@ def positions(collection: AdmissibleCollection, a: int) -> Iterator[Tuple[int, .
     yield from rec(0, 1, (1,))
 
 
-def _gap_requirements(
+def reconstructions(
     collection: AdmissibleCollection,
     kappa: Tuple[int, ...],
     a: int,
     b: int,
     n: int,
-):
-    """Flows per gap and the per-template short-edge requirements.
-
-    Returns (floor data, per-template list of (gap index, short count,
-    required short total), chain gap weights) or None when infeasible."""
-    parts = collection.parts
-    sources = [0] * a
-    sinks = [0] * a
-    edges_fixed: List[Tuple[int, int, int]] = []
-    covered_gaps: Dict[int, Tuple[int, int]] = {}  # gap -> (template idx, template gap)
-    for idx, (t, k) in enumerate(zip(parts, kappa)):
+) -> Iterator[FloorDiagram]:
+    """The layered floor diagrams that the collection at positions kappa
+    determines, one per element of B: a multiset of short-edge weights per
+    gap.  The divergences force the weight crossing each gap, and a gap
+    that no template covers takes a single edge.  Infeasible positions
+    yield nothing."""
+    sources, sinks = [0] * a, [0] * a
+    fixed: List[Elevator] = []
+    counts = [1] * (a - 1)  # short edges per gap
+    for t, k in zip(collection.parts, kappa):
         for v in range(t.length):
             sources[k - 1 + v] += t.sources[v]
             sinks[k - 1 + v] += t.sinks[v]
-        for p, q, w in t.longs:
-            edges_fixed.append((k - 2 + p, k - 2 + q, w))
-        for gap in range(t.length - 1):
-            covered_gaps[k - 1 + gap] = (idx, gap)
-    extra_src = a * n + b - sum(sources)
-    extra_snk = b - sum(sinks)
-    if extra_src < 0 or extra_snk < 0:
-        return None
-    sources[0] += extra_src
-    sinks[a - 1] += extra_snk
-    flows = []
-    run = 0
-    for g in range(a - 1):
-        run += sources[g] - sinks[g] - n
-        if run < 1:
-            return None
-        flows.append(run)
-    template_gaps = []
-    chain_edges = []
-    for g in range(a - 1):
-        crossing = sum(w for p, q, w in edges_fixed if p <= g < q)
-        rest = flows[g] - crossing
-        if g in covered_gaps:
-            idx, tgap = covered_gaps[g]
-            count = parts[idx].shorts[tgap]
-            if rest < count:
-                return None
-            template_gaps.append((g, count, rest))
-        else:
-            if rest < 1:
-                return None
-            chain_edges.append((g, g + 1, rest))
-    floors = tuple((0, n, s, t) for s, t in zip(sources, sinks))
-    return floors, template_gaps, chain_edges, edges_fixed
-
-
-def weight_extensions(
-    collection: AdmissibleCollection,
-    kappa: Tuple[int, ...],
-    a: int,
-    b: int,
-    n: int,
-) -> Iterator[Tuple[Tuple[int, Tuple[int, ...]], ...]]:
-    """Elements of B: per covered gap, a multiset of short-edge weights."""
-    req = _gap_requirements(collection, kappa, a, b, n)
-    if req is None:
+        fixed.extend((k - 2 + p, k - 2 + q, w) for p, q, w in t.longs)
+        counts[k - 1:k - 2 + t.length] = t.shorts
+    # the bottom and top floors, free of template sources and sinks, take
+    # the ones left
+    sources[0] += a * n + b - sum(sources)
+    sinks[-1] += b - sum(sinks)
+    if sources[0] < 0 or sinks[-1] < 0:
         return
-    _, template_gaps, _, _ = req
-    pools = [
-        [(g, comp) for comp in compositions(rest, count)]
-        for g, count, rest in template_gaps
-    ]
-    yield from itertools.product(*pools)
-
-
-def reconstruct(
-    collection: AdmissibleCollection,
-    kappa: Tuple[int, ...],
-    omega: Tuple[Tuple[int, Tuple[int, ...]], ...],
-    a: int,
-    b: int,
-    n: int,
-) -> FloorDiagram:
-    """Assemble the layered floor diagram determined by the collection, its
-    positions and a short-edge weight extension."""
-    req = _gap_requirements(collection, kappa, a, b, n)
-    if req is None:
-        raise ValueError("infeasible positions: some forced weight is nonpositive")
-    floors, template_gaps, chain_edges, edges_fixed = req
-    edges = list(edges_fixed) + list(chain_edges)
-    by_gap = dict(omega)
-    for g, count, rest in template_gaps:
-        weights = by_gap.get(g)
-        if weights is None or len(weights) != count or sum(weights) != rest:
-            raise ValueError("weight extension does not match the gap requirements")
-        edges.extend((g, g + 1, w) for w in weights)
-    diagram = FloorDiagram(floors, tuple(edges))
+    pools = []
+    flow = 0
+    for g in range(a - 1):
+        flow += sources[g] - sinks[g] - n
+        rest = flow - sum(w for p, q, w in fixed if p <= g < q)
+        pools.append([[(g, g + 1, w) for w in comp] for comp in compositions(rest, counts[g])])
+    floors = tuple((0, n, s, t) for s, t in zip(sources, sinks))
     polygon = make_delta_abn(a, b, n)
-    errs = validate_diagram(diagram, polygon)
-    if errs:
-        raise EngineError("reconstruction produced an invalid diagram: " + "; ".join(errs))
-    return diagram
+    for shorts in itertools.product(*pools):
+        diagram = FloorDiagram(floors, tuple(fixed) + tuple(itertools.chain(*shorts)))
+        errs = validate_diagram(diagram, polygon)
+        if errs:
+            raise EngineError("reconstruction produced an invalid diagram: " + "; ".join(errs))
+        yield diagram
 
 
 @dataclass
@@ -492,7 +434,8 @@ class BijectionReport:
 def verify_bijection(a: int, b: int, n: int, genus: int, i: int) -> BijectionReport:
     """Check that reconstruction hits every diagram class of codegree
     exactly i exactly once, and that every enumerated class of codegree
-    <= i is layered."""
+    <= i is layered.  Both sides are canonical forms, so they compare by
+    key."""
     if a <= i or b < i:
         raise ValueError("bijection region needs a > i and b >= i")
     polygon = make_delta_abn(a, b, n)
@@ -502,19 +445,17 @@ def verify_bijection(a: int, b: int, n: int, genus: int, i: int) -> BijectionRep
     census = enumerate_templates(genus, i)
     for col in enumerate_admissible_collections(genus, i, census):
         for kappa in positions(col, a):
-            for omega in weight_extensions(col, kappa, a, b, n):
-                d = reconstruct(col, kappa, omega, a, b, n)
+            for d in reconstructions(col, kappa, a, b, n):
                 if d.genus() != genus or codegree(d) != i:
                     return BijectionReport(
                         name, False, 0, 0,
                         ["reconstructed diagram has wrong genus or codegree"],
                     )
-                key = canonical_key(d)
-                recon[key] = recon.get(key, 0) + 1
+                recon[d.key()] = recon.get(d.key(), 0) + 1
     dupes = {k: c for k, c in recon.items() if c > 1}
     enumerated = enumerate_floor_diagrams(polygon, genus, max_codeg=i)
     not_layered = [d for d in enumerated if not d.is_layered()]
-    exact = {canonical_key(d) for d in enumerated if codegree(d) == i}
+    exact = {d.key() for d in enumerated if codegree(d) == i}
     passed = not dupes and not not_layered and set(recon) == exact
     if dupes:
         details.append("%d classes reconstructed more than once" % len(dupes))

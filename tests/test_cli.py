@@ -64,6 +64,16 @@ def test_usage_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_malformed_literal_is_usage_error(capsys):
+    for argv in (["invariant", "--genus", "0", "--polygon", "ht:dl=[0,0];dr=[1,1];db=2;dt=0;x=9"],
+                 ["invariant", "--genus", "0", "--polygon", "ht:dl=[0,0];dr=[1,1];db=2;dt=0;dt=1"],
+                 ["invariant", "--genus", "0", "--polygon", "abn:3,x,1"],
+                 ["descendant", "--polygon", "abn:4,0,1", "--s", "1", "--pairing", "pairs:1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert repr(argv[-1]) in err and "invalid literal for int()" not in err, err
+
+
 def test_engine_fault_exit_code(capsys, monkeypatch):
     from floordiag import invariant
     from floordiag.laurent import EngineError

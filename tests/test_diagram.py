@@ -374,7 +374,18 @@ def assert_search_matches_brute_force(diagram):
     assert set(auts) == brute_force_automorphisms(diagram), diagram
 
 
+# floors 0 and 1 are the two ready floors of the least value; placing
+# floor 0 first readies floor 2, (0, 1, 1, 0), and placing floor 1 first
+# readies the smaller floor 3, (0, 0, 0, 0), so the first choice listed
+# leads to the larger floor sequence
+TWO_LEAST_READY = FloorDiagram(
+    ((0, 1, 2, 0), (0, 1, 2, 0), (0, 1, 1, 0), (0, 0, 0, 0), (0, 1, 0, 1)),
+    ((0, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1)))
+
+
 def test_canonical_search_matches_brute_force_on_quartic():
+    assert validate(TWO_LEAST_READY, TWO_LEAST_READY.newton_polygon()) == []
+    assert_search_matches_brute_force(TWO_LEAST_READY)
     # representatives, not only classes: enumerate_floor_diagrams and the
     # pinned CLI output depend on which relabelling is chosen
     for g in range(4):

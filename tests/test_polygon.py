@@ -192,3 +192,30 @@ def test_parse_polygon():
         parse_polygon("abn:3,0")
     with pytest.raises(ValueError):
         parse_polygon("nonsense")
+
+
+FIELDS = "needs the fields dl, dr, db and dt, each once"
+ENTRIES = "needs integer lists dl=[...] and dr=[...] and integers db and dt"
+
+
+@pytest.mark.parametrize("literal,message", [
+    ("abn:3,x,1", "needs three integers"),
+    ("abn:3,0", "needs three integers"),
+    ("abn:3,0,1,2", "needs three integers"),
+    ("ht:dl=[0,0];dr=[1,1];db=2;dt=0;x=9", FIELDS),
+    ("ht:dl=[0,0];dr=[1,1];db=2;dt=0;", FIELDS),
+    ("ht:dl=[0,0];dr=[1,1];db=2;dt=0;dt=1", FIELDS),
+    ("ht:dl=[0,0];dr=[1,1];db=2;db=2", FIELDS),
+    ("ht:dl=[0,0];dr=[1,1];db=2", FIELDS),
+    ("ht:dl=[0,y];dr=[1,1];db=2;dt=0", ENTRIES),
+    ("ht:dl=[0,,0];dr=[1,1];db=2;dt=0", ENTRIES),
+    ("ht:dl=[0,0];dr=[1,1,];db=2;dt=0", ENTRIES),
+    ("ht:dl=[0,0];dr=[1,1];db=x;dt=0", ENTRIES),
+    ("ht:dl=[[0,0]];dr=[1,1];db=2;dt=0", ENTRIES),
+    ("ht:dl=0,0;dr=[1,1];db=2;dt=0", ENTRIES),
+    ("ht:dl=[0,0;dr=[1,1];db=2;dt=0", ENTRIES),
+])
+def test_parse_polygon_rejects_malformed_literal(literal, message):
+    with pytest.raises(ValueError) as exc:
+        parse_polygon(literal)
+    assert repr(literal) in str(exc.value) and message in str(exc.value)

@@ -1,7 +1,7 @@
 import pytest
 
 from floordiag import templates
-from floordiag.diagram import codegree, enumerate_floor_diagrams
+from floordiag.diagram import canonical_form, codegree, enumerate_floor_diagrams
 from floordiag.laurent import EngineError
 from floordiag.polygon import make_delta_abn
 from floordiag.templates import (
@@ -14,10 +14,9 @@ from floordiag.templates import (
     enumerate_templates,
     is_template,
     positions,
-    reconstruct,
+    reconstructions,
     template_census,
     verify_bijection,
-    weight_extensions,
 )
 
 FIG_CENSUS = {(0, 0): 1, (0, 1): 2, (0, 2): 4, (1, 0): 1, (1, 1): 3, (1, 2): 10}
@@ -138,8 +137,7 @@ def test_positions_allow_touching_spans():
 def test_reconstruct_codegree_zero_chain():
     col = AdmissibleCollection((POINT, POINT))
     kappa = next(iter(positions(col, 4)))
-    omega = next(iter(weight_extensions(col, kappa, 4, 2, 1)))
-    d = reconstruct(col, kappa, omega, 4, 2, 1)
+    (d,) = reconstructions(col, kappa, 4, 2, 1)
     assert codegree(d) == 0
     assert d.genus() == 0
     assert d.newton_polygon() == make_delta_abn(4, 2, 1)
@@ -149,25 +147,50 @@ def test_reconstruct_matches_template_invariants():
     census = enumerate_templates(1, 2)
     for col in enumerate_admissible_collections(1, 2, census)[:12]:
         for kappa in positions(col, 5):
-            for omega in weight_extensions(col, kappa, 5, 3, 1):
-                d = reconstruct(col, kappa, omega, 5, 3, 1)
+            for d in reconstructions(col, kappa, 5, 3, 1):
                 assert d.genus() == col.genus()
                 assert codegree(d) == col.codeg()
                 assert d.is_layered()
                 break
 
 
-@pytest.mark.parametrize(
-    "a,b,n,g,i",
-    [(4, 3, 1, 0, 1), (4, 3, 1, 1, 1), (3, 2, 0, 0, 1), (4, 2, 1, 0, 2)],
-)
+def test_reconstruct_infeasible_positions_yield_nothing():
+    snk_t = Template(2, (1,), (), (0, 0), (1, 0))
+    pair = Template(2, (2,), (), (0, 0), (0, 0))
+    # on Delta_{4,0,1} the sink template finds no sink to take, and the top
+    # gap carries weight 1, too little for two parallel edges
+    for t in (snk_t, pair):
+        col = AdmissibleCollection((POINT, t))
+        assert list(positions(col, 4)) == [(1, 3)]
+        assert list(reconstructions(col, (1, 3), 4, 0, 1)) == []
+
+
+BIJECTION_TUPLES = [(4, 3, 1, 0, 1), (4, 3, 1, 1, 1), (3, 2, 0, 0, 1), (4, 2, 1, 0, 2)]
+EXTRA_TUPLES = [(5, 3, 1, 1, 2), (5, 4, 0, 1, 1), (4, 4, 2, 2, 1)]
+
+
+@pytest.mark.parametrize("a,b,n,g,i", BIJECTION_TUPLES + EXTRA_TUPLES)
+def test_reconstructions_are_their_own_canonical_forms(a, b, n, g, i):
+    """verify_bijection compares reconstructed diagrams by key: each is
+    layered, so its one topological order makes it its own canonical form."""
+    seen = 0
+    for col in enumerate_admissible_collections(g, i):
+        for kappa in positions(col, a):
+            for d in reconstructions(col, kappa, a, b, n):
+                assert d.is_layered(), d
+                assert canonical_form(d) == d, d
+                seen += 1
+    assert seen > 0
+
+
+@pytest.mark.parametrize("a,b,n,g,i", BIJECTION_TUPLES)
 def test_bijection_acceptance_tuples(a, b, n, g, i):
     report = verify_bijection(a, b, n, g, i)
     assert report.passed, report.details
     assert report.reconstructed == report.enumerated > 0
 
 
-@pytest.mark.parametrize("a,b,n,g,i", [(5, 3, 1, 1, 2), (5, 4, 0, 1, 1), (4, 4, 2, 2, 1)])
+@pytest.mark.parametrize("a,b,n,g,i", EXTRA_TUPLES)
 def test_bijection_extra_tuples(a, b, n, g, i):
     report = verify_bijection(a, b, n, g, i)
     assert report.passed, report.details
@@ -206,6 +229,5 @@ def test_invalid_reconstruction_is_an_engine_fault(monkeypatch):
     monkeypatch.setattr(templates, "validate_diagram", lambda d, p: ["forced"])
     col = AdmissibleCollection((POINT, POINT))
     kappa = next(iter(positions(col, 4)))
-    omega = next(iter(weight_extensions(col, kappa, 4, 2, 1)))
     with pytest.raises(EngineError):
-        reconstruct(col, kappa, omega, 4, 2, 1)
+        list(reconstructions(col, kappa, 4, 2, 1))
