@@ -432,14 +432,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (EngineError, KeyError) as exc:
-        # usage errors are ValueErrors and no input check raises KeyError,
-        # so a KeyError is a fault of the engine or of its golden tables
+    except Exception as exc:
+        # input checks raise ValueError; an EngineError (itself a ValueError)
+        # or any other exception is a fault of the engine or its tables
+        if isinstance(exc, ValueError) and not isinstance(exc, EngineError):
+            print("error: %s" % exc, file=sys.stderr)
+            return USAGE_ERROR
         print("engine fault: %s" % exc, file=sys.stderr)
         return ENGINE_FAULT
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return USAGE_ERROR
 
 
 if __name__ == "__main__":

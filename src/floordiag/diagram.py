@@ -12,11 +12,12 @@ of open elevators; it yields every labelled diagram once.  One walk serves
 labelled diagrams and diagram shapes (heavy short elevators left free).
 The walk spends its edge budget exactly: a floor opens at least the
 elevators that the floors above it cannot, so the floor below the top
-opens all that are left.  Each walk lists the splits of an open-elevator
-tuple and the openings of a floor once, in tables that die with it, and
-reads them at every later node.  enumerate_floor_diagrams keeps, of each
-class, the one labelling that is its own canonical form (is_canonical), so
-it builds no canonical forms; codegree_coefficient_sum sums over the
+opens all that are left.  Free slots close with the split of the open
+elevators, and the openings alone decide how many elevators a floor
+opens, none included; each walk lists splits and openings once, in
+tables that die with it.  enumerate_floor_diagrams keeps, of each class,
+the one labelling that is its own canonical form (is_canonical), so it
+builds no canonical forms; codegree_coefficient_sum sums over the
 labelled shapes as they come, so the codegree path needs no canonical
 forms or automorphisms.  canonical_form serves the codegree-reducing
 operations; a layered diagram has one topological order, so it is its
@@ -371,11 +372,12 @@ def _openings(
     total: int, least: int, cap: int, free_above: Optional[int]
 ) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
     """Ways to open between `least` and `cap` elevators, free slots
-    included, carrying `total` > 0 out of a floor.
+    included, carrying `total` >= 0 out of a floor.
 
     Yields (explicit weights, free slots, assignments).  Weights above
     `free_above` go to free slots, whose ordered weight assignments are
     counted rather than listed; free_above=None keeps every weight explicit.
+    A total of 0 has only the empty opening ((), 0, 1), when least is 0.
     """
     if free_above is None:
         explicit_totals: Sequence[int] = (total,)
@@ -449,11 +451,12 @@ def run_enumeration_task(
     floors above, so it opens exactly the edges left and the top floor
     needs no edge count.
 
-    The splits of each open-elevator tuple, with the weight they keep
-    open, and the openings of each (total, least, cap) depend on nothing
-    else (free_above is fixed for the walk), so the walk lists each once
-    in a table local to the call and reads it at every node that needs
-    it; no state outlives the call.
+    Tables local to the call list, once each, the splits of every (open
+    elevators, free slots) pair, the free slots appended to each closed
+    part so they close like any other elevator, and the openings of every
+    (floor, total, least, cap) (free_above is fixed for the walk).
+    _openings alone decides how many elevators a floor opens, none
+    included; a split it gives no opening is cut.
 
     With free_above=None every weight is explicit and assignments is 1.
     With free_above=i (and max_codeg=i) the diagrams are shapes: elevators
@@ -477,44 +480,46 @@ def run_enumeration_task(
     found: List[Tuple[FloorDiagram, int, int]] = []
 
     srcs, snks = [0] * a, [0] * a  # sources and sinks of the floors below j
+    slot = None if free_above is None else free_above + 1  # free-slot weight
     # one copy of each floor list and elevator, shared by the diagrams found
     shared: Dict[Tuple, Tuple] = {}
-    # the splits of each open-elevator tuple, and the openings of each
-    # (total, least, cap), listed on first use and read by every later node
+    # the splits of each (open elevators, free slots) pair, and the openings
+    # of each (floor, total, least, cap) as the (floor, weight) pairs opened
+    # and the free slots, listed on first use and read by every later node
     split_table: Dict[Tuple, List[Tuple[Tuple, Tuple, int]]] = {}
-    opening_table: Dict[Tuple[int, int, int], List[Tuple[Tuple[int, ...], int, int]]] = {}
+    opening_table: Dict[Tuple[int, int, int, int], List[Tuple[Tuple, Tuple, int]]] = {}
 
-    def rec(j, src_left, snk_left, placed, in_flow, open_edges, n_free,
+    def rec(j, src_left, snk_left, placed, in_flow, open_edges, free,
             edges, comp, cycles, span_cost, assign):
-        # open_edges: sorted (origin, weight) pairs crossing gap j-1; the
-        # n_free free slots all close at floor j, and in_flow is the weight
-        # of both.  placed: the placement cost of the sources and sinks
-        # below floor j.  comp labels the connected component of each floor
-        # below j under the closed elevators `edges`, which hold `cycles`
-        # independent cycles
-        free_edges = [(j - 1, j, free_above + 1)] * n_free if n_free else []
+        # open_edges: sorted (origin, weight) pairs crossing gap j-1; free:
+        # the free slots, (j-1, free_above+1) pairs that all close at floor
+        # j; in_flow is the weight of both.  placed: the placement cost of
+        # the sources and sinks below floor j.  comp labels the connected
+        # component of each floor below j under the closed elevators
+        # `edges`, which hold `cycles` independent cycles
         if j == a - 1:
             # the top floor takes the sources and sinks left, and every open
             # elevator closes there and must join every component; floor a-2
             # opened exactly the edges left, so the edge count is met
             codeg = base + placed + j * src_left + span_cost
-            joined = {comp[o] for o, _ in open_edges}
-            if n_free:
-                joined.add(comp[j - 1])
+            closing = open_edges + free
+            joined = {comp[o] for o, _ in closing}
             if codeg > bound or len(joined) < len(set(comp)):
                 return
             srcs[j], snks[j] = src_left, snk_left
             floors = tuple(zip(ls, rs, srcs, snks))
-            closing = [(o, j, w) for o, w in open_edges]
-            elevators = tuple(shared.setdefault(e, e) for e in edges + closing + free_edges)
+            elevators = tuple(shared.setdefault(e, e) for e in edges + [(o, j, w) for o, w in closing])
             diagram = FloorDiagram(shared.setdefault(floors, floors), elevators)
             found.append((diagram, assign, codeg))
             return
         # room only falls by openings, and cap below keeps it nonnegative
-        room = target_edges - len(edges) - n_free - len(open_edges)
-        splits = split_table.get(open_edges)
+        room = target_edges - len(edges) - len(free) - len(open_edges)
+        # every split closes the free slots along with its closed elevators
+        splits = split_table.get((open_edges, free))
         if splits is None:
-            splits = split_table[open_edges] = _splits(open_edges)
+            splits = split_table[open_edges, free] = [
+                (closed + free, still_open, kept)
+                for closed, still_open, kept in _splits(open_edges)]
         # s sources and t sinks here: the weight crossing gap j is
         # in_flow + s - t - divs[j], which must be >= 1 (a gap nothing crosses
         # disconnects the diagram), and the least codegree, with every source
@@ -528,9 +533,8 @@ def run_enumeration_task(
                 flow = in_flow + s - t - divs[j]
                 least = base + here + (j + 1) * (src_left - s)
                 # floors j+1..a-2 open at most most[j][sinks left], so floor j
-                # opens at least must_open, and at least need if it opens any
-                must_open = room - most[j][snk_left - t]
-                need = max(must_open, 1)
+                # opens at least must_open
+                must_open = max(room - most[j][snk_left - t], 0)
                 for closed, still_open, kept in splits:
                     # an elevator kept open crosses gap j: its weight adds to
                     # the span cost and is not left to open here
@@ -540,13 +544,22 @@ def run_enumeration_task(
                     cost = span_cost + kept
                     if least + cost > bound:
                         continue
-                    if not out_total and must_open > 0:
+                    # a gap crossed by c elevators forces c-1 units of genus or
+                    # span surplus, so c is capped by 1 + genus + the span allowance
+                    cap = min(room, 1 + genus + bound - least - len(still_open))
+                    key = (j, out_total, must_open, cap)
+                    openings = opening_table.get(key)
+                    if openings is None:
+                        openings = opening_table[key] = [
+                            (tuple((j, w) for w in weights), ((j, slot),) * k_free, ways)
+                            for weights, k_free, ways
+                            in _openings(out_total, must_open, cap, free_above)]
+                    # _openings alone decides what floor j can open, none included
+                    if not openings:
                         continue
                     # a subgraph has no more independent cycles than the diagram
                     joined = {comp[o] for o, _ in closed}
-                    if n_free:
-                        joined.add(comp[j - 1])
-                    new_cycles = cycles + len(closed) + n_free - len(joined)
+                    new_cycles = cycles + len(closed) - len(joined)
                     if new_cycles > genus:
                         continue
                     # floor j joins the components it closes elevators from
@@ -555,29 +568,13 @@ def run_enumeration_task(
                         new_comp = tuple(label if c in joined else c for c in comp) + (label,)
                     else:
                         new_comp = comp + (label,)
-                    new_edges = edges + [(o, j, w) for o, w in closed] + free_edges
-                    if out_total == 0:
-                        rec(j + 1, src_left - s, snk_left - t, here, flow, still_open,
-                            0, new_edges, new_comp, new_cycles, cost, assign)
-                        continue
-                    # a gap crossed by c elevators forces c-1 units of genus or
-                    # span surplus, so c is capped by 1 + genus + the span allowance
-                    cap = min(room, 1 + genus + bound - least - len(still_open))
-                    if cap < need:
-                        continue
-                    # _openings lists the same for every must_open <= 0
-                    key = (out_total, max(must_open, 0), cap)
-                    openings = opening_table.get(key)
-                    if openings is None:
-                        openings = opening_table[key] = list(
-                            _openings(out_total, must_open, cap, free_above))
-                    for weights, k_free, ways in openings:
+                    new_edges = edges + [(o, j, w) for o, w in closed]
+                    for opened, new_free, ways in openings:
                         # origins below j, then nondecreasing weights: sorted
-                        opened = still_open + tuple((j, w) for w in weights)
-                        rec(j + 1, src_left - s, snk_left - t, here, flow, opened, k_free,
-                            new_edges, new_comp, new_cycles, cost, assign * ways)
+                        rec(j + 1, src_left - s, snk_left - t, here, flow, still_open + opened,
+                            new_free, new_edges, new_comp, new_cycles, cost, assign * ways)
 
-    rec(0, polygon.d_b, polygon.d_t, 0, 0, (), 0, [], (), 0, 0, 1)
+    rec(0, polygon.d_b, polygon.d_t, 0, 0, (), (), [], (), 0, 0, 1)
     return found
 
 

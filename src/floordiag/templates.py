@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .diagram import (
     Elevator,
@@ -317,12 +317,9 @@ class AdmissibleCollection:
         return all(t.is_closed() for t in self.parts[1:-1])
 
 
-def enumerate_admissible_collections(
-    genus: int, codeg: int, census: Optional[Sequence[Template]] = None
-) -> List[AdmissibleCollection]:
+def enumerate_admissible_collections(genus: int, codeg: int) -> List[AdmissibleCollection]:
     """Admissible collections with the exact total genus and codegree."""
-    if census is None:
-        census = enumerate_templates(genus, codeg)
+    census = enumerate_templates(genus, codeg)
     firsts = [t for t in census if not t.n_sinks()]
     lasts = [t for t in census if not t.n_sources()]
     middles = [t for t in census if t.is_closed()]
@@ -442,8 +439,7 @@ def verify_bijection(a: int, b: int, n: int, genus: int, i: int) -> BijectionRep
     name = "bijection a=%d b=%d n=%d g=%d i=%d" % (a, b, n, genus, i)
     details: List[str] = []
     recon: Dict[Tuple, int] = {}
-    census = enumerate_templates(genus, i)
-    for col in enumerate_admissible_collections(genus, i, census):
+    for col in enumerate_admissible_collections(genus, i):
         for kappa in positions(col, a):
             for d in reconstructions(col, kappa, a, b, n):
                 if d.genus() != genus or codegree(d) != i:

@@ -99,6 +99,19 @@ def test_engine_key_error_is_an_engine_fault(capsys, monkeypatch):
     assert err.startswith("engine fault: ")
 
 
+def test_unexpected_engine_exception_is_an_engine_fault(capsys, monkeypatch):
+    # exit 1 means a failed verification, so no exception may escape to it
+    from floordiag import invariant
+
+    def fault(*args, **kwargs):
+        raise IndexError("floor index out of range")
+
+    monkeypatch.setattr(invariant, "refined_invariant", fault)
+    code, _, err = run(capsys, "invariant", "--polygon", "abn:3,0,1", "--genus", "0")
+    assert code == 3
+    assert err.startswith("engine fault: floor index out of range")
+
+
 def test_engine_check_failure_exit_code(capsys, monkeypatch):
     from floordiag.templates import CappingTree
 

@@ -9,6 +9,7 @@ from floordiag.diagram import (
     FloorDiagram,
     _consecutive,
     _labelled,
+    _openings,
     _splits,
     canonical_form,
     canonical_key,
@@ -190,6 +191,30 @@ def test_splits_are_the_sub_multiset_splits(items):
     splits = _splits(items)
     assert len(splits) == len(set(splits))
     assert set(splits) == brute
+
+
+@pytest.mark.parametrize("free_above", [None, 1, 2])
+def test_openings_of_a_zero_total(free_above):
+    # the walk asks _openings also when a split closes everything: it must
+    # give the empty opening exactly when the floor need open nothing
+    for cap in range(4):
+        assert list(_openings(0, 0, cap, free_above)) == [((), 0, 1)]
+        for least in range(1, 4):
+            assert list(_openings(0, least, cap, free_above)) == []
+
+
+@pytest.mark.parametrize("poly,genus,i", [
+    (make_delta_abn(4, 2, 1), 1, 1),
+    (make_delta_abn(4, 2, 1), 1, 2),
+    (make_delta_abn(8, 3, 2), 2, 2),
+])
+def test_free_slots_close_on_the_floor_above(poly, genus, i):
+    # explicit weights are at most i, so an elevator of weight i + 1 is a
+    # free slot, and a free slot is short wherever it opens
+    slots = [(s, t) for d, _, _ in _labelled(poly, genus, i, free_above=i)
+             for s, t, w in d.elevators if w == i + 1]
+    assert any(t < poly.height - 1 for _, t in slots)
+    assert all(t == s + 1 for s, t in slots)
 
 
 def test_walks_share_no_state_across_calls():
