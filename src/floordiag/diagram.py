@@ -16,8 +16,11 @@ opens all that are left.  Free slots close with the split of the open
 elevators, and the openings alone decide how many elevators a floor
 opens, none included; each walk lists splits and openings once, in
 tables that die with it.  enumerate_floor_diagrams keeps, of each class,
-the one labelling that is its own canonical form (is_canonical), so it
-builds no canonical forms; codegree_coefficient_sum sums over the
+the one labelling that is its own canonical form, and maps it to its
+number of floor automorphisms: one search along the labelling's own
+floor sequence (automorphism_count) rejects the other labellings and
+counts the automorphisms of that one, so it builds no canonical forms
+and no automorphism groups; codegree_coefficient_sum sums over the
 labelled shapes as they come, so the codegree path needs no canonical
 forms or automorphisms.  canonical_form serves the codegree-reducing
 operations; a layered diagram has one topological order, so it is its
@@ -221,22 +224,32 @@ def canonical_key(diagram: FloorDiagram) -> Tuple:
     return canonical_form(diagram).key()
 
 
-def is_canonical(diagram: FloorDiagram) -> bool:
-    """True when no relabelling has a smaller key: canonical_form(d) == d.
+def automorphism_count(diagram: FloorDiagram) -> int:
+    """The number of floor automorphisms when the diagram is its own
+    canonical form (canonical_form(d) == d), else 0.
 
     The search follows the diagram's own floor sequence, placing at each
-    position the ready floors equal to the diagram's floor there, and
-    stops at the first ready floor that is smaller or the first complete
-    relabelling whose elevators sort smaller.
+    position the ready floors equal to the diagram's floor there.  It
+    returns 0 at the first ready floor that is smaller or the first
+    complete relabelling whose elevators sort smaller; otherwise it has
+    listed every relabelling that keeps the floor sequence, and those
+    whose elevators sort equal are the automorphisms.
     """
     a = diagram.n_floors
     floors, elevators = diagram.floors, diagram.elevators
     below = _below(diagram)
     p = [0] * a
+    count = 0
 
     def rec(pos: int, placed: int) -> bool:
+        # False when a relabelling with a smaller key exists
+        nonlocal count
         if pos == a:
-            return tuple(sorted([(p[i], p[j], w) for i, j, w in elevators])) >= elevators
+            image = tuple(sorted([(p[i], p[j], w) for i, j, w in elevators]))
+            if image < elevators:
+                return False
+            count += image == elevators
+            return True
         own = floors[pos]
         same = []  # the ready floors equal to the diagram's floor at pos
         for v in range(a):
@@ -251,7 +264,7 @@ def is_canonical(diagram: FloorDiagram) -> bool:
                 return False
         return True
 
-    return rec(0, 0)
+    return count if rec(0, 0) else 0
 
 
 def vertex_automorphisms(diagram: FloorDiagram) -> List[Tuple[int, ...]]:
@@ -602,16 +615,22 @@ def enumerate_floor_diagrams(
     polygon: HTransversePolygon,
     genus: int,
     max_codeg: Optional[int] = None,
-) -> List[FloorDiagram]:
+) -> Dict[FloorDiagram, int]:
     """All floor diagrams with the given Newton polygon and genus, one
-    canonical representative per isomorphism class, sorted by canonical key.
+    canonical representative per isomorphism class, mapped to its number
+    of floor automorphisms, in canonical-key order.
 
     With max_codeg set, only classes of codegree <= max_codeg are produced
     (exactly the ones contributing to the top max_codeg+1 coefficients).
     """
     # the walk yields each labelling once, so each class's canonical form once
-    classes = [d for d, _, _ in _labelled(polygon, genus, max_codeg) if is_canonical(d)]
-    return sorted(classes, key=FloorDiagram.key)
+    classes = []
+    for d, _, _ in _labelled(polygon, genus, max_codeg):
+        auts = automorphism_count(d)
+        if auts:
+            classes.append((d, auts))
+    classes.sort(key=lambda c: c[0].key())
+    return dict(classes)
 
 
 def codegree_coefficient_sum(

@@ -133,9 +133,9 @@ def refined_invariant(polygon: HTransversePolygon, genus: int) -> LaurentPoly:
     def compute() -> LaurentPoly:
         # weight multiset -> [its first class, marking count of its classes]
         groups: Dict[Tuple[int, ...], List] = {}
-        for D in enumerate_floor_diagrams(polygon, genus):
+        for D, auts in enumerate_floor_diagrams(polygon, genus).items():
             weights = tuple(sorted(w for _, _, w in D.elevators if w > 1))
-            groups.setdefault(weights, [D, 0])[1] += count_markings(D)
+            groups.setdefault(weights, [D, 0])[1] += count_markings(D, auts)
         total = LaurentPoly.zero()
         for D, n in groups.values():
             total = total + mult(D).scalar_mul(n)
@@ -168,8 +168,8 @@ def refined_descendant(
 
     def compute() -> LaurentPoly:
         total = LaurentPoly.zero()
-        for D in enumerate_floor_diagrams(polygon, 0, max_codeg=max_codeg):
-            total = total + descendant_sum(D, pairing)
+        for D, auts in enumerate_floor_diagrams(polygon, 0, max_codeg=max_codeg).items():
+            total = total + descendant_sum(D, pairing, auts)
         if max_codeg is not None:
             top2 = 2 * stats.interior
             total = LaurentPoly(

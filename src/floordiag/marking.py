@@ -15,10 +15,11 @@ leaves the sources out of its downset DP: they are minimal and each lies
 under one floor.  When floor v is placed after m elements of the DP and
 after the S sources of the floors placed before it, its s_v sources, in
 their fixed order, go into that prefix in C(m + S + s_v, s_v) ways.
-It keeps its own masks because a shared builder (sources last, masked
-off) measured slower: the label-order count over the 22,756 labellings
-of the invariant_classes benchmark calls took 1.62-1.72 s of CPU time
-against 1.42-1.56 s (three alternating runs, 2-core shared host).
+The DP is a forward pass, one downset size at a time: each downset
+carries its count of extensions, its ready elements and the sources of
+its floors, and each element lists the elements directly above it, so a
+new downset finds its ready elements from the one element just placed
+instead of testing every element.
 
 A marking orders the floors, and relabelling the diagram by that order
 gives one of its labellings.  So the marked classes of a diagram are also
@@ -94,9 +95,9 @@ def iter_reduced_extensions(diagram: FloorDiagram) -> Iterator[Marking]:
 
 
 def count_reduced_extensions(diagram: FloorDiagram, in_label_order: bool = False) -> int:
-    """Number of reduced linear extensions, by a DP over the downsets of
-    the floors, elevators and sinks; see the module docstring.  With
-    in_label_order, only those that place the floors in label order."""
+    """Number of reduced linear extensions, by a forward pass over the
+    downsets of the floors, elevators and sinks; see the module docstring.
+    With in_label_order, only those that place the floors in label order."""
     a = diagram.n_floors
     sources = [f[2] for f in diagram.floors]
     # elements 0..a-1 are the floors, then the elevators, then the sinks;
@@ -112,26 +113,40 @@ def count_reduced_extensions(diagram: FloorDiagram, in_label_order: bool = False
         for c in range(t):
             preds.append(1 << (len(preds) - 1 if c else v))
     n = len(preds)
-    memo: Dict[int, int] = {(1 << n) - 1: 1}
-
-    def count(placed: int, m: int, before: int) -> int:
-        # placed: a downset of m elements; before: the sources of its floors
-        got = memo.get(placed)
-        if got is not None:
-            return got
-        total = 0
-        for k in range(n):
-            bit = 1 << k
-            if not placed & bit and not preds[k] & ~placed:
-                if k < a:
-                    s = sources[k]
-                    total += comb(m + before + s, s) * count(placed | bit, m + 1, before + s)
-                else:
-                    total += count(placed | bit, m + 1, before)
-        memo[placed] = total
-        return total
-
-    return count(0, 0, 0)
+    sources += [0] * (n - a)
+    # per element, (bit, cover predecessors) of the elements directly above it
+    succs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for u, below in enumerate(preds):
+        left = below
+        while left:
+            bit = left & -left
+            left ^= bit
+            succs[bit.bit_length() - 1].append((1 << u, below))
+    # the downsets of m elements: placed -> [extensions of placed, its ready
+    # elements, the sources of its floors]
+    level = {0: [1, sum(1 << k for k in range(n) if not preds[k]), 0]}
+    for m in range(n):
+        after_level: Dict[int, List[int]] = {}
+        for placed, (ways, ready, before) in level.items():
+            left = ready
+            while left:
+                bit = left & -left
+                left ^= bit
+                k = bit.bit_length() - 1
+                s = sources[k]
+                more = ways * comb(m + before + s, s) if s else ways
+                after = placed | bit
+                entry = after_level.get(after)
+                if entry is not None:
+                    entry[0] += more
+                    continue
+                after_ready = ready ^ bit
+                for ubit, below in succs[k]:
+                    if not below & ~after:
+                        after_ready |= ubit
+                after_level[after] = [more, after_ready, before + s]
+        level = after_level
+    return level[(1 << n) - 1][0]
 
 
 def _induced_element_map(perm: Sequence[int]):
@@ -172,10 +187,14 @@ def enumerate_markings(diagram: FloorDiagram) -> List[Marking]:
     return reps
 
 
-def count_markings(diagram: FloorDiagram) -> int:
-    """Number of marked classes: reduced extensions / floor automorphisms."""
+def count_markings(diagram: FloorDiagram, automorphisms: Optional[int] = None) -> int:
+    """Number of marked classes: reduced extensions / floor automorphisms.
+
+    automorphisms is the number of floor automorphisms when the caller has
+    it (enumerate_floor_diagrams maps each class to it); None counts them.
+    """
     total = count_reduced_extensions(diagram)
-    auts = len(vertex_automorphisms(diagram))
+    auts = len(vertex_automorphisms(diagram)) if automorphisms is None else automorphisms
     if total % auts:
         raise EngineError("automorphism action on markings is not free")
     return total // auts
@@ -368,7 +387,9 @@ def _pair_key(x: Element, y: Element) -> Optional[Tuple]:
     return None
 
 
-def descendant_sum(diagram: FloorDiagram, pairing: Pairing) -> LaurentPoly:
+def descendant_sum(
+    diagram: FloorDiagram, pairing: Pairing, automorphisms: Optional[int] = None
+) -> LaurentPoly:
     """Sum of mu_S over the marked classes of the diagram, without listing them.
 
     mu_S is a product of one factor per unpaired position and one per pair
@@ -378,6 +399,7 @@ def descendant_sum(diagram: FloorDiagram, pairing: Pairing) -> LaurentPoly:
     its elements at once.  Floor automorphisms act freely on reduced
     extensions and preserve mu_S, so dividing by their number gives the sum
     over marked classes; that division is checked to be exact.
+    automorphisms is their number when the caller has it; None counts them.
     """
     elems, preds = reduced_poset(diagram)
     n = len(elems)
@@ -425,7 +447,7 @@ def descendant_sum(diagram: FloorDiagram, pairing: Pairing) -> LaurentPoly:
         memo[placed] = out
         return out
 
-    auts = len(vertex_automorphisms(diagram))
+    auts = len(vertex_automorphisms(diagram)) if automorphisms is None else automorphisms
     result = {}
     for e2, v in total(0, 1).items():
         if v % auts:

@@ -11,11 +11,11 @@ from floordiag.diagram import (
     _labelled,
     _openings,
     _splits,
+    automorphism_count,
     canonical_form,
     canonical_key,
     codegree,
     enumerate_floor_diagrams,
-    is_canonical,
     mult,
     op_A_minus,
     op_A_plus,
@@ -103,7 +103,7 @@ def _distributions(total, parts):
 def test_counts_delta3():
     assert len(enumerate_floor_diagrams(make_delta_d(3), 0)) == 3
     assert len(enumerate_floor_diagrams(make_delta_d(3), 1)) == 1
-    assert enumerate_floor_diagrams(make_delta_d(3), 2) == []
+    assert list(enumerate_floor_diagrams(make_delta_d(3), 2)) == []
 
 
 def test_counts_delta4():
@@ -246,7 +246,7 @@ def test_classes_match_dedupe_by_canonical_form():
     for poly, gmax in polys:
         for g in range(gmax + 1):
             for max_codeg in (None, 0, 1, 2):
-                assert (enumerate_floor_diagrams(poly, g, max_codeg)
+                assert (list(enumerate_floor_diagrams(poly, g, max_codeg))
                         == dedupe_by_canonical_form(poly, g, max_codeg)), (poly, g, max_codeg)
 
 
@@ -254,7 +254,7 @@ def test_classes_match_dedupe_by_canonical_form():
 @given(small_polygons(), st.integers(0, 2))
 def test_classes_match_dedupe_by_canonical_form_on_random_polygons(poly, genus):
     for max_codeg in (None, 0, 1):
-        assert (enumerate_floor_diagrams(poly, genus, max_codeg)
+        assert (list(enumerate_floor_diagrams(poly, genus, max_codeg))
                 == dedupe_by_canonical_form(poly, genus, max_codeg))
 
 
@@ -359,7 +359,7 @@ def test_canonical_form_identifies_relabelings():
     assert canonical_key(d1) == canonical_key(d2)
 
 
-def automorphism_count(diagram):
+def graph_automorphism_count(diagram):
     """Order of the floor/elevator automorphism group (monovalent edges unlabelled)."""
     count = len(vertex_automorphisms(diagram))
     for _, group in itertools.groupby(diagram.elevators):
@@ -370,11 +370,11 @@ def automorphism_count(diagram):
 def test_automorphism_counts():
     path = FloorDiagram(((0, 1, 4, 0), (0, 1, 0, 0), (0, 1, 0, 0)),
                         ((0, 1, 3), (1, 2, 2)))
-    assert automorphism_count(path) == 1
+    assert graph_automorphism_count(path) == 1
     unequal_pair = FloorDiagram(((0, 2, 4, 0), (0, 2, 0, 0)), ((0, 1, 1), (0, 1, 3)))
-    assert automorphism_count(unequal_pair) == 1
+    assert graph_automorphism_count(unequal_pair) == 1
     equal_pair = FloorDiagram(((0, 2, 2, 0), (0, 2, 0, 0)), ((0, 1, 1), (0, 1, 1)))
-    assert automorphism_count(equal_pair) == 2
+    assert graph_automorphism_count(equal_pair) == 2
     star = FloorDiagram(((0, 1, 3, 0), (0, 1, 0, 0), (0, 1, 0, 0)),
                         ((0, 1, 1), (0, 2, 1)))
     assert len(vertex_automorphisms(star)) == 2
@@ -436,10 +436,10 @@ def brute_force_automorphisms(diagram):
 def assert_search_matches_brute_force(diagram):
     least = brute_force_canonical_form(diagram)
     assert canonical_form(diagram) == least, diagram
-    assert is_canonical(diagram) == (least == diagram), diagram
     auts = vertex_automorphisms(diagram)
     assert len(set(auts)) == len(auts)
     assert set(auts) == brute_force_automorphisms(diagram), diagram
+    assert automorphism_count(diagram) == (len(auts) if least == diagram else 0), diagram
 
 
 # floors 0 and 1 are the two ready floors of the least value; placing
@@ -467,6 +467,26 @@ def test_canonical_search_matches_brute_force_on_quartic():
 def test_canonical_search_matches_brute_force_on_random_polygons(poly, genus):
     for d, _, _ in _labelled(poly, genus, None):
         assert_search_matches_brute_force(d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_polygons())
+def test_automorphism_count_matches_brute_force_on_random_polygons(poly):
+    # every labelling of every genus up to 2: 0 exactly off the canonical form
+    for g in range(3):
+        for d, _, _ in _labelled(poly, g, None):
+            if brute_force_canonical_form(d) != d:
+                assert automorphism_count(d) == 0, d
+            else:
+                assert automorphism_count(d) == len(brute_force_automorphisms(d)), d
+
+
+@pytest.mark.parametrize("poly,gmax", [
+    (make_delta_d(4), 3), (HTransversePolygon((-2, 0, 1, 1), (2, 0, 0, -1), 2, 1), 2)])
+def test_classes_map_to_their_automorphism_counts(poly, gmax):
+    for g in range(gmax + 1):
+        classes = enumerate_floor_diagrams(poly, g)
+        assert classes == {d: len(vertex_automorphisms(d)) for d in classes}
 
 
 def test_min_floor_codegree_bound():
@@ -603,7 +623,7 @@ def test_op_errors_on_missing_configuration():
 
 
 def test_json_roundtrip():
-    d = enumerate_floor_diagrams(make_delta_d(3), 0)[0]
+    d = list(enumerate_floor_diagrams(make_delta_d(3), 0))[0]
     assert FloorDiagram.from_json(d.to_json()) == d
 
 

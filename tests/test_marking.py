@@ -67,7 +67,7 @@ def test_parallel_weight_markings():
     diagrams = enumerate_floor_diagrams(poly, 1, max_codeg=0)
     counts = sorted(count_markings(d) for d in diagrams)
     assert counts == [1, 2, 2, 2, 2, 2]
-    zero_g0 = enumerate_floor_diagrams(poly, 0, max_codeg=0)
+    zero_g0 = list(enumerate_floor_diagrams(poly, 0, max_codeg=0))
     assert len(zero_g0) == 1 and count_markings(zero_g0[0]) == 1
 
 
@@ -314,7 +314,7 @@ def test_descendant_sum_matches_marking_oracle(literal, max_codeg, s):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_descendant_sum_random_diagrams(data):
-    diagrams = enumerate_floor_diagrams(data.draw(small_polygons()), 0)
+    diagrams = list(enumerate_floor_diagrams(data.draw(small_polygons()), 0))
     assume(diagrams)
     d = data.draw(st.sampled_from(diagrams))
     n = d.n_marks()
@@ -329,6 +329,14 @@ def test_inexact_automorphism_division_is_an_engine_fault(monkeypatch):
         descendant_sum(CHAIN11, frozenset())
     with pytest.raises(EngineError):
         count_markings(CHAIN11)
+
+
+def test_inexact_given_automorphism_count_is_an_engine_fault():
+    # the count enumerate_floor_diagrams hands over is checked the same way
+    with pytest.raises(EngineError):
+        descendant_sum(CHAIN11, frozenset(), 7)
+    with pytest.raises(EngineError):
+        count_markings(CHAIN11, 7)
 
 
 def test_non_free_action_on_markings_is_an_engine_fault(monkeypatch):
