@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .diagram import FloorDiagram, bounded_vectors
 from .laurent import prod, quantum_integer
@@ -135,7 +135,9 @@ def _nu_tilde(u: Tuple[int, ...], a: int, b: int, n: int, s: int) -> int:
     binomials, with degenerate binomials contributing zero."""
     i = len(u)
     total = 0
-    for split in _sum_tuples(s, i + 1):
+    for split in bounded_vectors([1] * (i + 1), s):
+        if sum(split) != s:
+            continue
         coeff = factorial(s)
         for part in split:
             coeff //= factorial(part)
@@ -151,15 +153,6 @@ def _nu_tilde(u: Tuple[int, ...], a: int, b: int, n: int, s: int) -> int:
                 break
         total += term
     return total
-
-
-def _sum_tuples(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for tail in _sum_tuples(total - first, parts - 1):
-            yield (first,) + tail
 
 
 def nu(uv: UVector, a: int, b: int, n: int, s: int) -> int:

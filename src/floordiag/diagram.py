@@ -464,10 +464,10 @@ def run_enumeration_task(
     floors above, so it opens exactly the edges left and the top floor
     needs no edge count.
 
-    Tables local to the call list, once each, the splits of every (open
-    elevators, free slots) pair, the free slots appended to each closed
-    part so they close like any other elevator, and the openings of every
-    (floor, total, least, cap) (free_above is fixed for the walk).
+    Tables local to the call list, once each, the splits of every tuple
+    of open elevators and the openings of every (floor, total, least, cap)
+    (free_above is fixed for the walk).  The free slots all close at the
+    next floor, so each split closes them along with its closed part.
     _openings alone decides how many elevators a floor opens, none
     included; a split it gives no opening is cut.
 
@@ -496,9 +496,9 @@ def run_enumeration_task(
     slot = None if free_above is None else free_above + 1  # free-slot weight
     # one copy of each floor list and elevator, shared by the diagrams found
     shared: Dict[Tuple, Tuple] = {}
-    # the splits of each (open elevators, free slots) pair, and the openings
-    # of each (floor, total, least, cap) as the (floor, weight) pairs opened
-    # and the free slots, listed on first use and read by every later node
+    # the splits of each tuple of open elevators, and the openings of each
+    # (floor, total, least, cap) as the (floor, weight) pairs opened and the
+    # free slots, listed on first use and read by every later node
     split_table: Dict[Tuple, List[Tuple[Tuple, Tuple, int]]] = {}
     opening_table: Dict[Tuple[int, int, int, int], List[Tuple[Tuple, Tuple, int]]] = {}
 
@@ -527,12 +527,9 @@ def run_enumeration_task(
             return
         # room only falls by openings, and cap below keeps it nonnegative
         room = target_edges - len(edges) - len(free) - len(open_edges)
-        # every split closes the free slots along with its closed elevators
-        splits = split_table.get((open_edges, free))
+        splits = split_table.get(open_edges)
         if splits is None:
-            splits = split_table[open_edges, free] = [
-                (closed + free, still_open, kept)
-                for closed, still_open, kept in _splits(open_edges)]
+            splits = split_table[open_edges] = _splits(open_edges)
         # s sources and t sinks here: the weight crossing gap j is
         # in_flow + s - t - divs[j], which must be >= 1 (a gap nothing crosses
         # disconnects the diagram), and the least codegree, with every source
@@ -570,6 +567,8 @@ def run_enumeration_task(
                     # _openings alone decides what floor j can open, none included
                     if not openings:
                         continue
+                    # every split closes the free slots with its closed elevators
+                    closed += free
                     # a subgraph has no more independent cycles than the diagram
                     joined = {comp[o] for o, _ in closed}
                     new_cycles = cycles + len(closed) - len(joined)

@@ -3,7 +3,8 @@
 Everything lives in Z[q^{1/2}, q^{-1/2}].  Exponents are stored doubled
 (the key for q^{5/2} is 5, the key for q^3 is 6) so that all arithmetic
 stays in plain Python integers.  Coefficients are arbitrary-precision
-ints; zero coefficients are never stored.
+ints.  The one constructor takes a mapping {doubled exponent:
+coefficient} and drops its zero coefficients, so none is ever stored.
 """
 
 from __future__ import annotations
@@ -21,21 +22,14 @@ class LaurentPoly:
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[Tuple[int, int]] = ()):
-        c: Dict[int, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for e2, v in items:
-            if v:
-                c[e2] = c.get(e2, 0) + v
-                if not c[e2]:
-                    del c[e2]
-        self._c = c
+    def __init__(self, coeffs: Mapping[int, int]):
+        self._c = {e2: v for e2, v in coeffs.items() if v}
 
     # -- basic queries ----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return cls({})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -87,40 +81,20 @@ class LaurentPoly:
         c = dict(self._c)
         for e2, v in other._c.items():
             c[e2] = c.get(e2, 0) + v
-            if not c[e2]:
-                del c[e2]
-        out = LaurentPoly.zero()
-        out._c = c
-        return out
+        return LaurentPoly(c)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for e2, v in other._c.items():
-            c[e2] = c.get(e2, 0) - v
-            if not c[e2]:
-                del c[e2]
-        out = LaurentPoly.zero()
-        out._c = c
-        return out
+        return self + other.scalar_mul(-1)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         c: Dict[int, int] = {}
         for e2, v in self._c.items():
             for f2, w in other._c.items():
-                k = e2 + f2
-                c[k] = c.get(k, 0) + v * w
-                if not c[k]:
-                    del c[k]
-        out = LaurentPoly.zero()
-        out._c = c
-        return out
+                c[e2 + f2] = c.get(e2 + f2, 0) + v * w
+        return LaurentPoly(c)
 
     def scalar_mul(self, k: int) -> "LaurentPoly":
-        if not k:
-            return LaurentPoly.zero()
-        out = LaurentPoly.zero()
-        out._c = {e2: k * v for e2, v in self._c.items()}
-        return out
+        return LaurentPoly({e2: k * v for e2, v in self._c.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self._c == other._c
@@ -136,9 +110,7 @@ class LaurentPoly:
 
     def substitute_q_squared(self) -> "LaurentPoly":
         """P(q) -> P(q^2): every exponent doubles."""
-        out = LaurentPoly.zero()
-        out._c = {2 * e2: v for e2, v in self._c.items()}
-        return out
+        return LaurentPoly({2 * e2: v for e2, v in self._c.items()})
 
     def codegree_coeff(self, i: int) -> int:
         """Coefficient of degree (top - i); 0 when that term is absent."""

@@ -7,6 +7,9 @@ parallel elevators of equal weight are interchangeable under diagram
 automorphisms, so extensions are enumerated in a reduced form where each
 such group appears in a fixed internal order; dividing the reduced count
 by the number of floor automorphisms gives the number of marked classes.
+count_markings and descendant_sum take that number from the caller
+(enumerate_floor_diagrams maps each class to it); enumerate_markings
+lists the automorphisms itself, to check that they act freely.
 
 reduced_poset lists the elements and their cover predecessors in one
 pass; iter_reduced_extensions and descendant_sum walk the downsets of
@@ -187,17 +190,17 @@ def enumerate_markings(diagram: FloorDiagram) -> List[Marking]:
     return reps
 
 
-def count_markings(diagram: FloorDiagram, automorphisms: Optional[int] = None) -> int:
+def count_markings(diagram: FloorDiagram, automorphisms: int) -> int:
     """Number of marked classes: reduced extensions / floor automorphisms.
 
-    automorphisms is the number of floor automorphisms when the caller has
-    it (enumerate_floor_diagrams maps each class to it); None counts them.
+    automorphisms is the number of floor automorphisms of the diagram
+    (enumerate_floor_diagrams maps each class to it); the division is
+    checked to be exact.
     """
     total = count_reduced_extensions(diagram)
-    auts = len(vertex_automorphisms(diagram)) if automorphisms is None else automorphisms
-    if total % auts:
+    if total % automorphisms:
         raise EngineError("automorphism action on markings is not free")
-    return total // auts
+    return total // automorphisms
 
 
 # -- pairings ----------------------------------------------------------------
@@ -387,9 +390,7 @@ def _pair_key(x: Element, y: Element) -> Optional[Tuple]:
     return None
 
 
-def descendant_sum(
-    diagram: FloorDiagram, pairing: Pairing, automorphisms: Optional[int] = None
-) -> LaurentPoly:
+def descendant_sum(diagram: FloorDiagram, pairing: Pairing, automorphisms: int) -> LaurentPoly:
     """Sum of mu_S over the marked classes of the diagram, without listing them.
 
     mu_S is a product of one factor per unpaired position and one per pair
@@ -398,8 +399,8 @@ def descendant_sum(
     placed elements plus one, and a pair's first position places both of
     its elements at once.  Floor automorphisms act freely on reduced
     extensions and preserve mu_S, so dividing by their number gives the sum
-    over marked classes; that division is checked to be exact.
-    automorphisms is their number when the caller has it; None counts them.
+    over marked classes; automorphisms is their number, and the division
+    is checked to be exact.
     """
     elems, preds = reduced_poset(diagram)
     n = len(elems)
@@ -408,6 +409,8 @@ def descendant_sum(
     singles = [_single_key(e) for e in elems]
     pair_keys: Dict[Tuple[int, int], Optional[Tuple]] = {}
     terms: Dict[Tuple, Tuple[Tuple[int, int], ...]] = {}
+    # sums are plain {doubled exponent: coefficient} dicts: the same DP on
+    # LaurentPoly operations measured slower
     memo: Dict[int, Dict[int, int]] = {full: {0: 1}}
 
     def add_into(acc: Dict[int, int], p: Dict[int, int]) -> None:
@@ -447,10 +450,9 @@ def descendant_sum(
         memo[placed] = out
         return out
 
-    auts = len(vertex_automorphisms(diagram)) if automorphisms is None else automorphisms
     result = {}
     for e2, v in total(0, 1).items():
-        if v % auts:
+        if v % automorphisms:
             raise EngineError("automorphism action on markings is not free")
-        result[e2] = v // auts
+        result[e2] = v // automorphisms
     return LaurentPoly(result)

@@ -240,6 +240,23 @@ def test_walks_share_no_state_across_calls():
     assert {r: walk(*r) for r in runs} == first
 
 
+@pytest.mark.parametrize("abn,genus", [((4, 2, 1), 1), ((8, 3, 2), 2)])
+def test_walk_lists_each_split_once(monkeypatch, abn, genus):
+    # a codegree-2 shape walk on the one label order of Delta_{a,b,n}: the
+    # split table holds one entry per tuple of open elevators, whatever free
+    # slots cross the gap beside them
+    calls = []
+
+    def counted(items):
+        calls.append(items)
+        return _splits(items)
+
+    monkeypatch.setattr("floordiag.diagram._splits", counted)
+    poly = make_delta_abn(*abn)
+    assert run_enumeration_task(poly, genus, poly.d_l, poly.d_r, 2, 2)
+    assert len(calls) == len(set(calls))
+
+
 def test_classes_match_dedupe_by_canonical_form():
     polys = [(make_delta_d(4), 3), (make_delta_abn(3, 1, 1), 2),
              (HTransversePolygon((-2, 0, 1, 1), (2, 0, 0, -1), 2, 1), 1)]
@@ -344,7 +361,7 @@ def test_codegree_zero_marked_count_binomial():
         iota = lattice_stats(poly).interior
         for g in range(iota + 1):
             marked = sum(
-                count_markings(d)
+                count_markings(d, len(vertex_automorphisms(d)))
                 for d in enumerate_floor_diagrams(poly, g, max_codeg=0)
             )
             assert marked == math.comb(iota, g), (a, b, n, g)

@@ -121,6 +121,9 @@ def test_ring_axioms(da, db, dc):
     assert pa * pb == pb * pa
     assert (pa * pb) * pc == pa * (pb * pc)
     assert pa * (pb + pc) == pa * pb + pa * pc
+    # no result stores a zero coefficient
+    results = (pa + pb, pa - pb, pa - pa, pa * pb, pa.scalar_mul(3), pa.scalar_mul(0))
+    assert all(all(v for _, v in r.key()) for r in results)
 
 
 @settings(max_examples=150, deadline=None)
