@@ -152,7 +152,10 @@ def refined_descendant(
 ) -> LaurentPoly:
     """G_Delta(0;s) for a pairing of order s (the consecutive one by default).
 
-    With max_codeg set, only codegree <= max_codeg coefficients are kept.
+    With max_codeg set, only the coefficients of codegree <= max_codeg are
+    computed: the sweep keeps the classes of codegree <= max_codeg, and
+    descendant_sum carries only the terms of doubled exponent
+    >= 2 (interior - max_codeg) through its DP.
     """
     stats = lattice_stats(polygon)
     if s < 0:
@@ -166,15 +169,12 @@ def refined_descendant(
     if len(pairing) != s:
         raise ValueError("pairing order %d does not match s=%d" % (len(pairing), s))
 
+    lowest = None if max_codeg is None else 2 * (stats.interior - max_codeg)
+
     def compute() -> LaurentPoly:
         total = LaurentPoly.zero()
         for D, auts in enumerate_floor_diagrams(polygon, 0, max_codeg=max_codeg).items():
-            total = total + descendant_sum(D, pairing, auts)
-        if max_codeg is not None:
-            top2 = 2 * stats.interior
-            total = LaurentPoly(
-                {e2: v for e2, v in total.key() if e2 >= top2 - 2 * max_codeg}
-            )
+            total = total + descendant_sum(D, pairing, auts, lowest)
         return total
 
     params = "s=%d;S=%s;mc=%s" % (s, _pairing_token(pairing), max_codeg)

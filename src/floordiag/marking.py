@@ -18,11 +18,20 @@ leaves the sources out of its downset DP: they are minimal and each lies
 under one floor.  When floor v is placed after m elements of the DP and
 after the S sources of the floors placed before it, its s_v sources, in
 their fixed order, go into that prefix in C(m + S + s_v, s_v) ways.
-The DP is a forward pass, one downset size at a time: each downset
+That DP is a forward pass, one downset size at a time: each downset
 carries its count of extensions, its ready elements and the sources of
-its floors, and each element lists the elements directly above it, so a
-new downset finds its ready elements from the one element just placed
-instead of testing every element.
+its floors.
+
+Both DPs carry each downset's ready elements forward.  Each element
+lists the elements directly above it (_successors), so a new downset
+finds its ready elements from the one element just placed instead of
+testing every element, and the DPs step over ready elements only.
+
+descendant_sum can stop at a doubled exponent, exactly: each element of
+weight w contributes doubled top exponent 2(w - 1) with coefficient 1,
+whatever the pairing, so the terms of the sum at or above an exponent
+come only from the terms of each downset's sub-sum at or above that
+exponent minus the tops placed, and the DP keeps no others.
 
 A marking orders the floors, and relabelling the diagram by that order
 gives one of its labellings.  So the marked classes of a diagram are also
@@ -97,6 +106,20 @@ def iter_reduced_extensions(diagram: FloorDiagram) -> Iterator[Marking]:
     yield from rec(0)
 
 
+def _successors(preds: Sequence[int]) -> List[List[Tuple[int, int]]]:
+    """Per element, (bit, cover predecessors) of each element directly above
+    it: placing element k makes ready each of its successors whose cover
+    predecessors are then all placed."""
+    succs: List[List[Tuple[int, int]]] = [[] for _ in preds]
+    for u, below in enumerate(preds):
+        left = below
+        while left:
+            bit = left & -left
+            left ^= bit
+            succs[bit.bit_length() - 1].append((1 << u, below))
+    return succs
+
+
 def count_reduced_extensions(diagram: FloorDiagram, in_label_order: bool = False) -> int:
     """Number of reduced linear extensions, by a forward pass over the
     downsets of the floors, elevators and sinks; see the module docstring.
@@ -117,14 +140,7 @@ def count_reduced_extensions(diagram: FloorDiagram, in_label_order: bool = False
             preds.append(1 << (len(preds) - 1 if c else v))
     n = len(preds)
     sources += [0] * (n - a)
-    # per element, (bit, cover predecessors) of the elements directly above it
-    succs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for u, below in enumerate(preds):
-        left = below
-        while left:
-            bit = left & -left
-            left ^= bit
-            succs[bit.bit_length() - 1].append((1 << u, below))
+    succs = _successors(preds)
     # the downsets of m elements: placed -> [extensions of placed, its ready
     # elements, the sources of its floors]
     level = {0: [1, sum(1 << k for k in range(n) if not preds[k]), 0]}
@@ -390,23 +406,40 @@ def _pair_key(x: Element, y: Element) -> Optional[Tuple]:
     return None
 
 
-def descendant_sum(diagram: FloorDiagram, pairing: Pairing, automorphisms: int) -> LaurentPoly:
-    """Sum of mu_S over the marked classes of the diagram, without listing them.
+def descendant_sum(
+    diagram: FloorDiagram, pairing: Pairing, automorphisms: int,
+    lowest: Optional[int] = None,
+) -> LaurentPoly:
+    """Sum of mu_S over the marked classes of the diagram, without listing
+    them; with lowest set, only its terms of doubled exponent >= lowest.
 
     mu_S is a product of one factor per unpaired position and one per pair
     {i, i+1} in S, so the sum over reduced extensions is a DP over the
     downsets of the reduced poset: the next position is the number of
     placed elements plus one, and a pair's first position places both of
-    its elements at once.  Floor automorphisms act freely on reduced
+    its elements at once.  The DP steps only over the ready elements of a
+    downset; each carries its ready mask, updated from the successor lists
+    of the element just placed.  Floor automorphisms act freely on reduced
     extensions and preserve mu_S, so dividing by their number gives the sum
     over marked classes; automorphisms is their number, and the division
     is checked to be exact.
+
+    The truncation is exact at every downset: every factor has coefficient
+    1 at its doubled top exponent, which is 2(w - 1) for an element of
+    weight w and the sum of the two for a pair, whatever the pairing.  So a
+    term of exponent >= lowest in the sum over reduced extensions comes only
+    from terms of the sum over completions of a downset at or above lowest
+    minus the tops of its placed elements, and each memo entry keeps just
+    those.
     """
     elems, preds = reduced_poset(diagram)
     n = len(elems)
     full = (1 << n) - 1
+    succs = _successors(preds)
     firsts = {i for i, _ in pairing}
     singles = [_single_key(e) for e in elems]
+    tops = [2 * (_weight(e) - 1) for e in elems]
+    trim = lowest is not None
     pair_keys: Dict[Tuple[int, int], Optional[Tuple]] = {}
     terms: Dict[Tuple, Tuple[Tuple[int, int], ...]] = {}
     # sums are plain {doubled exponent: coefficient} dicts: the same DP on
@@ -417,29 +450,45 @@ def descendant_sum(diagram: FloorDiagram, pairing: Pairing, automorphisms: int) 
         for e2, v in p.items():
             acc[e2] = acc.get(e2, 0) + v
 
-    def total(placed: int, pos: int) -> Dict[int, int]:
+    def total(placed: int, pos: int, ready: int, cut: int) -> Dict[int, int]:
+        """Sum over the completions of placed, at doubled exponents >= cut
+        when trimming (cut is lowest minus the tops of the placed elements)."""
         got = memo.get(placed)
         if got is not None:
             return got
         # sub-sums grouped by factor, so each distinct factor multiplies once
         groups: Dict[Tuple, Dict[int, int]] = {}
-        for x in range(n):
-            bit = 1 << x
-            if placed & bit or preds[x] & ~placed:
-                continue
-            if pos not in firsts:
-                add_into(groups.setdefault(singles[x], {}), total(placed | bit, pos + 1))
-                continue
+        left = ready
+        while left:
+            bit = left & -left
+            left ^= bit
+            x = bit.bit_length() - 1
             after_x = placed | bit
-            for y in range(n):
-                ybit = 1 << y
-                if after_x & ybit or preds[y] & ~after_x:
-                    continue
+            ready_x = ready ^ bit
+            for ubit, below in succs[x]:
+                if not below & ~after_x:
+                    ready_x |= ubit
+            if pos not in firsts:
+                add_into(groups.setdefault(singles[x], {}),
+                         total(after_x, pos + 1, ready_x, cut - tops[x]))
+                continue
+            left_y = ready_x
+            while left_y:
+                ybit = left_y & -left_y
+                left_y ^= ybit
+                y = ybit.bit_length() - 1
                 if (x, y) not in pair_keys:
                     pair_keys[(x, y)] = _pair_key(elems[x], elems[y])
                 key = pair_keys[(x, y)]
-                if key is not None:
-                    add_into(groups.setdefault(key, {}), total(after_x | ybit, pos + 2))
+                if key is None:
+                    continue
+                after_y = after_x | ybit
+                ready_y = ready_x ^ ybit
+                for ubit, below in succs[y]:
+                    if not below & ~after_y:
+                        ready_y |= ubit
+                add_into(groups.setdefault(key, {}),
+                         total(after_y, pos + 2, ready_y, cut - tops[x] - tops[y]))
         out = groups.pop(_UNIT, {})
         for key, sub in groups.items():
             if key not in terms:
@@ -447,11 +496,14 @@ def descendant_sum(diagram: FloorDiagram, pairing: Pairing, automorphisms: int) 
             for e2, v in terms[key]:
                 for f2, w in sub.items():
                     out[e2 + f2] = out.get(e2 + f2, 0) + v * w
+        if trim:
+            out = {e2: v for e2, v in out.items() if e2 >= cut}
         memo[placed] = out
         return out
 
+    minimal = sum(1 << k for k in range(n) if not preds[k])
     result = {}
-    for e2, v in total(0, 1).items():
+    for e2, v in total(0, 1, minimal, lowest if trim else 0).items():
         if v % automorphisms:
             raise EngineError("automorphism action on markings is not free")
         result[e2] = v // automorphisms

@@ -3,8 +3,10 @@ import os
 import warnings
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from floordiag import diagram, invariant, marking
 from floordiag.diagram import enumerate_floor_diagrams
@@ -36,6 +38,7 @@ from floordiag.polygon import (
     parse_polygon,
 )
 from golden import GOLDEN, golden_values
+from strategies import small_polygons
 
 D3 = make_delta_d(3)
 D4 = make_delta_d(4)
@@ -190,6 +193,24 @@ def test_codegree_coeff_shortcuts_match():
         full = refined_invariant(poly, g)
         for i in range(min(2, top) + 1):
             assert invariant_codegree_coeff(poly, g, i) == full.coeff2(2 * (top - i))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_polygons())
+def test_codegree_paths_match_full_invariants(polygon):
+    # both codegree paths against every coefficient of the full invariants
+    stats = lattice_stats(polygon)
+    with mock.patch.dict(os.environ, {"FLOORDIAG_CACHE_DIR": ""}):
+        for g in range(stats.interior + 1):
+            top = stats.interior - g
+            full = refined_invariant(polygon, g)
+            for i in range(top + 1):
+                assert invariant_codegree_coeff(polygon, g, i) == full.coeff2(2 * (top - i))
+        for s in range(stats.s_max + 1):
+            full = refined_descendant(polygon, s)
+            for i in range(stats.interior + 1):
+                assert (descendant_codegree_coeff(polygon, s, i)
+                        == full.coeff2(2 * (stats.interior - i)))
 
 
 def test_codegree_coeff_needs_no_classes(monkeypatch):

@@ -334,6 +334,28 @@ def test_descendant_sum_random_diagrams(data):
     assert descendant_sum(d, pairing, auts) == marking_oracle(d, pairing, enumerate_markings(d))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_descendant_sum_truncation_random_diagrams(data):
+    # lowest keeps the terms of doubled exponent >= lowest, exactly
+    diagrams = list(enumerate_floor_diagrams(data.draw(small_polygons()), 0))
+    assume(diagrams)
+    d = data.draw(st.sampled_from(diagrams))
+    n = d.n_marks()
+    pairing = data.draw(st.sampled_from(list(all_pairings(n, data.draw(st.integers(0, n // 2))))))
+    auts = len(vertex_automorphisms(d))
+    full = descendant_sum(d, pairing, auts)
+    # every factor has top 2(w - 1) with coefficient 1, so a nonzero sum
+    # reaches the sum of the tops
+    top = sum(2 * (w - 1) for _, _, w in d.elevators)
+    assert not full or full.degree2() == top
+    lowest = data.draw(st.integers(-top - 2, top + 2))
+    kept = LaurentPoly({e2: v for e2, v in full.key() if e2 >= lowest})
+    assert descendant_sum(d, pairing, auts, lowest) == kept
+    assert descendant_sum(d, pairing, auts, top + 1) == LaurentPoly.zero()
+    assert descendant_sum(d, pairing, auts, -top - 1) == full
+
+
 def test_inexact_automorphism_division_is_an_engine_fault(monkeypatch):
     # the enumeration hands each class its automorphism count; 7 cannot act
     # freely on the reduced extensions of every cubic class
@@ -343,6 +365,10 @@ def test_inexact_automorphism_division_is_an_engine_fault(monkeypatch):
         refined_invariant(make_delta_d(3), 0)
     with pytest.raises(EngineError):
         refined_descendant(make_delta_d(3), 1)
+    # the truncated sums divide every coefficient they return
+    for max_codeg in range(3):
+        with pytest.raises(EngineError):
+            refined_descendant(make_delta_d(3), 1, max_codeg=max_codeg)
 
 
 def test_inexact_given_automorphism_count_is_an_engine_fault():
