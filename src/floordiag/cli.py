@@ -167,14 +167,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_templates(args) -> int:
-    ts = enumerate_templates(args.max_genus, args.max_codeg)
     if args.format == "json":
+        ts = enumerate_templates(args.max_genus, args.max_codeg)
         print(json.dumps([t.to_json() for t in ts]))
     else:
         counts = template_census(args.max_genus, args.max_codeg)
         for (g, c), k in sorted(counts.items()):
             print("genus %d codegree %d: %d templates" % (g, c, k))
-        print("total: %d" % len(ts))
+        print("total: %d" % sum(counts.values()))
     return 0
 
 

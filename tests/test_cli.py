@@ -158,6 +158,26 @@ def test_templates_text(capsys):
     assert "genus 1 codegree 2: 10 templates" in out
 
 
+def test_templates_enumerates_once(capsys, monkeypatch):
+    from floordiag import templates
+
+    calls = []
+    enumerate_templates = templates.enumerate_templates
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_templates(*args)
+
+    monkeypatch.setattr(templates, "enumerate_templates", counted)
+    monkeypatch.setattr(cli, "enumerate_templates", counted)
+    for fmt in ("text", "json"):
+        calls.clear()
+        code, out, _ = run(capsys, "templates", "--max-genus", "1", "--max-codeg", "2",
+                           "--format", fmt)
+        assert code == 0 and out
+        assert calls == [(1, 2)], fmt
+
+
 def test_capping_json(capsys):
     code, out, _ = run(capsys, "capping", "--a", "4", "--n", "1", "--max-codeg", "2",
                        "--format", "json")

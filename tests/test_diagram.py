@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from floordiag.diagram import (
     FloorDiagram,
-    _consecutive,
     _labelled,
     _openings,
     _splits,
@@ -17,10 +16,6 @@ from floordiag.diagram import (
     codegree,
     enumerate_floor_diagrams,
     mult,
-    op_A_minus,
-    op_A_plus,
-    op_B_l,
-    op_B_r,
     run_enumeration_task,
     validate,
     vertex_automorphisms,
@@ -28,6 +23,7 @@ from floordiag.diagram import (
 from floordiag.invariant import invariant_codegree_coeff, refined_invariant
 from floordiag.laurent import EngineError, LaurentPoly
 from floordiag.polygon import HTransversePolygon, lattice_stats, make_delta_abn, make_delta_d
+from codegree_ops import _consecutive, op_A_minus, op_A_plus, op_B_l, op_B_r
 from strategies import small_polygons
 
 

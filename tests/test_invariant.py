@@ -213,6 +213,33 @@ def test_codegree_paths_match_full_invariants(polygon):
                         == full.coeff2(2 * (stats.interior - i)))
 
 
+@pytest.mark.parametrize("literal, genus", [
+    ("abn:3,0,1", 0), ("abn:4,0,1", 0), ("abn:4,0,1", 1), ("abn:3,1,1", 0), ("abn:2,2,1", 0),
+])
+def test_invariant_codegree_coeff_lower_half(literal, genus, monkeypatch):
+    # i past the middle reads the lower half of the palindrome; i = 2(iota-g)+1
+    # is one below the bottom exponent
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    polygon = parse_polygon(literal)
+    top = lattice_stats(polygon).interior - genus
+    full = refined_invariant(polygon, genus)
+    for i in range(top + 1, 2 * top + 2):
+        assert invariant_codegree_coeff(polygon, genus, i) == full.coeff2(2 * (top - i))
+    assert invariant_codegree_coeff(polygon, genus, 2 * top + 1) == 0
+
+
+def test_descendant_codegree_coeff_lower_half(monkeypatch):
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    polygon = make_delta_abn(3, 1, 1)
+    stats = lattice_stats(polygon)
+    top = stats.interior
+    for s in range(stats.s_max + 1):
+        full = refined_descendant(polygon, s)
+        for i in range(top + 1, 2 * top + 2):
+            assert descendant_codegree_coeff(polygon, s, i) == full.coeff2(2 * (top - i))
+        assert descendant_codegree_coeff(polygon, s, 2 * top + 1) == 0
+
+
 def test_codegree_coeff_needs_no_classes(monkeypatch):
     # the labelled-shape sum uses no canonical forms, automorphism groups or
     # per-class marking counts
@@ -224,7 +251,8 @@ def test_codegree_coeff_needs_no_classes(monkeypatch):
         raise AssertionError("class machinery on the codegree path")
 
     for module in (diagram, marking, invariant):
-        for name in ("canonical_form", "vertex_automorphisms", "count_markings"):
+        for name in ("canonical_form", "vertex_automorphisms", "count_markings",
+                     "automorphism_count", "enumerate_floor_diagrams"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fail)
     for (poly, g), full in zip(cases, expected):
