@@ -36,14 +36,33 @@ exponent minus the tops placed, and the DP keeps no others.
 A marking orders the floors, and relabelling the diagram by that order
 gives one of its labellings.  So the marked classes of a diagram are also
 counted, without automorphisms, by summing over its distinct labellings
-the reduced extensions that keep the floors in label order.  That count
-is the same downset DP with the floors chained in label order:
-count_reduced_extensions(diagram, in_label_order=True).
+the reduced extensions that keep the floors in label order:
+count_reduced_extensions(diagram, in_label_order=True).  With the floors
+fixed in order, that count is a transfer over the gaps between them, not
+a downset DP.  Gap j lies between floors j and j + 1, gap a - 1 above the
+top floor.  Elevator (u, v, w) lies in gaps u..v-1 and a sink of floor v
+in gaps v..a-1; an element with one gap is forced, the others are
+flexible.  The count sums, over the assignments of these elements to
+gaps, the product of k_j! over the gaps (k_j elements in gap j), times
+the source binomials above (the prefix below floor v holds v floors, the
+elements of the gaps below it and the sources of the floors below it),
+divided by c! per group of c equal elevators and t! for the t sinks of a
+floor.  The walk up the gaps keeps only the flexible elements still
+pending, counted per deadline (the last gap they may sit in): at gap j
+it takes all of deadline j and any number x_d of the p_d of each later
+deadline d, in C(p_d, x_d) ways, and the gap's elements order in
+(f_j + sum x)! ways, f_j its forced elements.  Forced elements never
+enter the table, so a gap with nothing pending and nothing new only
+multiplies by f_j!.  The labelled shapes of the codegree path are nearly
+layered (most elevators are short, and about half of the shapes have no
+flexible element), so the walk mostly carries one weight, where a
+downset DP would visit every ordering of each gap.
 """
 
 from __future__ import annotations
 
-from math import comb
+from itertools import product
+from math import comb, factorial
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import FloorDiagram, vertex_automorphisms
@@ -123,13 +142,15 @@ def _successors(preds: Sequence[int]) -> List[List[Tuple[int, int]]]:
 def count_reduced_extensions(diagram: FloorDiagram, in_label_order: bool = False) -> int:
     """Number of reduced linear extensions, by a forward pass over the
     downsets of the floors, elevators and sinks; see the module docstring.
-    With in_label_order, only those that place the floors in label order."""
+    With in_label_order, only those that place the floors in label order,
+    by the transfer over the gaps between floors (_count_in_label_order)."""
+    if in_label_order:
+        return _count_in_label_order(diagram)
     a = diagram.n_floors
     sources = [f[2] for f in diagram.floors]
     # elements 0..a-1 are the floors, then the elevators, then the sinks;
-    # copies of one elevator, and the sinks of one floor, keep a fixed order;
-    # in label order, floor v - 1 lies below floor v
-    preds = [1 << v - 1 if in_label_order and v else 0 for v in range(a)]
+    # copies of one elevator, and the sinks of one floor, keep a fixed order
+    preds = [0] * a
     previous = None
     for k, e in enumerate(diagram.elevators, a):
         preds.append(1 << e[0] | (1 << k - 1 if e == previous else 0))
@@ -166,6 +187,80 @@ def count_reduced_extensions(diagram: FloorDiagram, in_label_order: bool = False
                 after_level[after] = [more, after_ready, before + s]
         level = after_level
     return level[(1 << n) - 1][0]
+
+
+def _count_in_label_order(diagram: FloorDiagram) -> int:
+    """Reduced linear extensions that place the floors in label order: a
+    transfer over the gaps between consecutive floors; see the module
+    docstring."""
+    a = diagram.n_floors
+    floors = diagram.floors
+    # gap j lies between floors j and j + 1, gap a - 1 above the top floor;
+    # per gap: its forced elements, and the deadline gaps of the flexible
+    # elements that may first sit in it
+    forced = [0] * a
+    starts: List[List[int]] = [[] for _ in range(a)]
+    groups = 1
+    previous, c = None, 0
+    for e in diagram.elevators:
+        if e[1] == e[0] + 1:
+            forced[e[0]] += 1
+        else:
+            starts[e[0]].append(e[1] - 1)
+        c = c + 1 if e == previous else 1
+        groups *= c
+        previous = e
+    for v, (_, _, _, t) in enumerate(floors):
+        if v == a - 1:
+            forced[v] += t
+        else:
+            starts[v] += [a - 1] * t
+        groups *= factorial(t)
+    # pending flexible elements, counted per deadline gap -> weight; while
+    # none is pending, the one weight is ways and table is None
+    none = (0,) * a
+    ways, table = 1, None
+    # the elements begun in the gaps below gap j, and the sources of the
+    # floors below floor j
+    started = below = 0
+    for j, new in enumerate(starts):
+        s = floors[j][2]
+        f = forced[j]
+        # floor j: its sources go into the prefix below it, of j floors,
+        # the elements placed in earlier gaps and the sources below
+        base = j + started + below
+        started += f + len(new)
+        below += s
+        if table is None:
+            if not new:
+                ways *= comb(base + s, s) * factorial(f) if s else factorial(f)
+                continue
+            table = {none: ways}
+        after: Dict[Tuple[int, ...], int] = {}
+        for pending, more in table.items():
+            if s:
+                more *= comb(base - sum(pending) + s, s)
+            counts = list(pending)
+            for d in new:
+                counts[d] += 1
+            # all of deadline j, and any number of each later deadline
+            due = f + counts[j]
+            counts[j] = 0
+            later = [d for d in range(j + 1, a) if counts[d]]
+            for xs in product(*[range(counts[d] + 1) for d in later]):
+                term = more * factorial(due + sum(xs))
+                left = counts[:]
+                for d, x in zip(later, xs):
+                    if x:
+                        term *= comb(counts[d], x)
+                        left[d] -= x
+                key = tuple(left)
+                after[key] = after.get(key, 0) + term
+        if len(after) == 1 and none in after:  # always so after the top gap
+            ways, table = after[none], None
+        else:
+            table = after
+    return ways // groups
 
 
 def _induced_element_map(perm: Sequence[int]):

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and polygon helpers shared by the test modules."""
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -18,3 +18,10 @@ def small_polygons(draw, max_height=3, max_slope=1, max_top=2):
     polygon = HTransversePolygon(tuple(d_l), tuple(d_r), d_t + sum(d_r) - sum(d_l), d_t)
     assume(not validate(polygon))
     return polygon
+
+
+def upside_down(polygon):
+    """The polygon reflected in a horizontal line: slopes negated, bottom
+    and top swapped."""
+    return HTransversePolygon(tuple(sorted(-x for x in polygon.d_l)),
+                              tuple(sorted(-x for x in polygon.d_r)), polygon.d_t, polygon.d_b)

@@ -31,14 +31,13 @@ from floordiag.marking import (
     mu_S,
 )
 from floordiag.polygon import (
-    HTransversePolygon,
     lattice_stats,
     make_delta_abn,
     make_delta_d,
     parse_polygon,
 )
 from golden import GOLDEN, golden_values
-from strategies import small_polygons
+from strategies import small_polygons, upside_down
 
 D3 = make_delta_d(3)
 D4 = make_delta_d(4)
@@ -68,21 +67,20 @@ def test_invariant_degree_and_symmetry():
             assert val.degree2() == 2 * (iota - g)
 
 
-def upside_down(polygon):
-    """The polygon reflected in a horizontal line: slopes negated, bottom
-    and top swapped."""
-    return HTransversePolygon(tuple(sorted(-x for x in polygon.d_l)),
-                              tuple(sorted(-x for x in polygon.d_r)), polygon.d_t, polygon.d_b)
-
-
 # the turned polygons have more sinks than sources, so their marking
-# counts keep many sinks in the downset DP
+# counts keep many sinks in the downset DP, and their labelled shapes have
+# sinks below the top floor, the elements the gap transfer carries pending
 @pytest.mark.parametrize("literal", [
     "abn:3,0,1", "abn:4,2,1", "abn:4,1,2", "ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1"])
 def test_invariant_of_the_upside_down_polygon(literal):
     polygon = parse_polygon(literal)
+    turned = upside_down(polygon)
     for g in range(3):
-        assert refined_invariant(upside_down(polygon), g) == refined_invariant(polygon, g)
+        full = refined_invariant(polygon, g)
+        assert refined_invariant(turned, g) == full
+        top = lattice_stats(polygon).interior - g
+        for i in range(min(2, top) + 1):
+            assert invariant_codegree_coeff(turned, g, i) == full.coeff2(2 * (top - i)), (g, i)
 
 
 def test_cubic_descendants():

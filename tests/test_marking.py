@@ -33,7 +33,7 @@ from floordiag.polygon import (
     make_delta_d,
     parse_polygon,
 )
-from strategies import small_polygons
+from strategies import small_polygons, upside_down
 
 CHAIN2 = FloorDiagram(((0, 1, 3, 0), (0, 1, 0, 0), (0, 1, 0, 0)),
                       ((0, 1, 2), (1, 2, 1)))  # the weight-2 cubic chain
@@ -136,6 +136,23 @@ def test_labelled_extensions_match_oracle_on_random_polygons(polygon, genus):
         assert count_reduced_extensions(d) == len(extensions), d
         oracle = labelled_extensions_oracle(d, extensions)
         assert count_reduced_extensions(d, in_label_order=True) == oracle, d
+
+
+# past the oracle's cap: the gap transfer over the labellings against the
+# downset DP over the classes, on a polygon with many labellings and on
+# turned polygons, whose labelled diagrams have sinks below the top floor
+@pytest.mark.parametrize("literal, turned, max_genus", [
+    ("abn:6,0,1", False, 2), ("abn:4,1,2", True, 2), ("abn:4,2,1", True, 2), (MIXED, True, 1)])
+def test_labelled_extensions_share_out_the_marked_classes(literal, turned, max_genus):
+    polygon = parse_polygon(literal)
+    if turned:
+        polygon = upside_down(polygon)
+    for g in range(max_genus + 1):
+        labelled = sum(count_reduced_extensions(d, in_label_order=True)
+                       for d, _, _ in _labelled(polygon, g, None))
+        classes = sum(count_markings(d, auts)
+                      for d, auts in enumerate_floor_diagrams(polygon, g).items())
+        assert labelled == classes, g
 
 
 def test_markings_increasing():
