@@ -20,6 +20,7 @@ from typing import List, Sequence, Tuple
 
 from .diagram import FloorDiagram, bounded_vectors
 from .laurent import prod, quantum_integer
+from .templates import AdmissibleCollection, Template, reconstructions
 
 
 def F(k: int, l: int) -> int:
@@ -90,34 +91,19 @@ def enumerate_C(i: int) -> List[UVector]:
 def build_D(a: int, b: int, n: int, uv: UVector) -> FloorDiagram:
     """The chain diagram with totally ordered floors v_1..v_a, u_j extra
     sources at floor v_{j+1}, ut_j extra sinks at floor v_{a-j}, and
-    elevator weights forced by divergence n at every floor."""
+    elevator weights forced by divergence n at every floor: the one
+    reconstruction of two chain templates placed at floors 1 and a-i."""
     i = len(uv.u)
     if a <= i:
         raise ValueError("need a > i so the decorated floors exist")
-    if b < 0 or n < 0:
-        raise ValueError("need b, n >= 0")
-    sources = [0] * a
-    sinks = [0] * a
-    sources[0] = a * n + b - sum(uv.u)
-    if sources[0] < 0:
-        raise ValueError("more displaced sources than d_b provides")
-    sinks[a - 1] = b - sum(uv.u_tilde)
-    if sinks[a - 1] < 0:
-        raise ValueError("more displaced sinks than d_t provides")
-    for j in range(1, i + 1):
-        sources[j] += uv.u[j - 1]
-        sinks[a - 1 - j] += uv.u_tilde[j - 1]
-    elevators = []
-    flow = 0
-    for k in range(a - 1):
-        flow += sources[k] - sinks[k] - n
-        if flow <= 0:
-            raise ValueError("forced elevator weight is nonpositive at gap %d" % k)
-        elevators.append((k, k + 1, flow))
-    return FloorDiagram(
-        tuple((0, n, s, t) for s, t in zip(sources, sinks)),
-        tuple(elevators),
-    )
+    zeros = (0,) * (i + 1)
+    chains = AdmissibleCollection((
+        Template(i + 1, (1,) * i, (), (0,) + uv.u, zeros),
+        Template(i + 1, (1,) * i, (), zeros, uv.u_tilde[::-1] + (0,)),
+    ))
+    for diagram in reconstructions(chains, (1, a - i), a, b, n):
+        return diagram
+    raise ValueError("no chain diagram of Delta_{%d,%d,%d} for %r" % (a, b, n, uv))
 
 
 # -- marking counts and the closed form ---------------------------------------

@@ -299,26 +299,13 @@ def vertex_automorphisms(diagram: FloorDiagram) -> List[Tuple[int, ...]]:
 
 def _distinct_permutations(values: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     """Permutations of a multiset without repeats, in lexicographic order."""
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    keys = sorted(counts)
-    n = len(values)
-    out: List[int] = []
-
-    def rec():
-        if len(out) == n:
-            yield tuple(out)
-            return
-        for v in keys:
-            if counts[v]:
-                counts[v] -= 1
-                out.append(v)
-                yield from rec()
-                out.pop()
-                counts[v] += 1
-
-    yield from rec()
+    if not values:
+        yield ()
+    for v in sorted(set(values)):
+        rest = list(values)
+        rest.remove(v)
+        for tail in _distinct_permutations(rest):
+            yield (v,) + tail
 
 
 def compositions(
@@ -389,27 +376,25 @@ def _openings(
 
     Yields (explicit weights, free slots, assignments).  Weights above
     `free_above` go to free slots, whose ordered weight assignments are
-    counted rather than listed; free_above=None keeps every weight explicit.
-    A total of 0 has only the empty opening ((), 0, 1), when least is 0.
+    counted rather than listed; free_above=None keeps every weight explicit,
+    as no weight exceeds `total`.  A total of 0 has only the empty opening
+    ((), 0, 1), when least is 0.
     """
-    if free_above is None:
-        explicit_totals: Sequence[int] = (total,)
-    else:
-        explicit_totals = range(min(total, free_above * cap) + 1)
-    for explicit in explicit_totals:
+    hi = total if free_above is None else free_above
+    for explicit in range(min(total, hi * cap) + 1):
         free = total - explicit
         if free == 0:
             frees = [(0, 1)]
         else:
-            # ordered tuples of k weights > free_above summing to free
+            # ordered tuples of k weights > hi summing to free
             frees = [
-                (k, comb(free - free_above * k - 1, k - 1))
-                for k in range(1, min(cap, free // (free_above + 1)) + 1)
+                (k, comb(free - hi * k - 1, k - 1))
+                for k in range(1, min(cap, free // (hi + 1)) + 1)
             ]
         for k_free, ways in frees:
             for k in range(max(least - k_free, 1 if explicit else 0),
                            min(cap - k_free, explicit) + 1):
-                for weights in compositions(explicit, k, free_above):
+                for weights in compositions(explicit, k, hi):
                     yield weights, k_free, ways
 
 

@@ -165,7 +165,7 @@ def refined_descendant(
         return LaurentPoly.zero()
     if pairing is None:
         pairing = canonical_pairing(s)
-    pairing = make_pairing(pairing, stats.boundary - 1)
+    pairing = make_pairing(pairing, stats.n_delta)
     if len(pairing) != s:
         raise ValueError("pairing order %d does not match s=%d" % (len(pairing), s))
 
@@ -226,11 +226,10 @@ class Report:
 def verify_pairing_independence(polygon: HTransversePolygon, s: int) -> Report:
     """Recompute G_Delta(0;s) for every pairing of order s and compare."""
     stats = lattice_stats(polygon)
-    n = stats.boundary - 1
     name = "pairing-independence %s s=%d" % (polygon.key(), s)
     if s > stats.s_max:
         return Report(name, False, ["s beyond s_max"])
-    pairings = list(all_pairings(n, s))
+    pairings = list(all_pairings(stats.n_delta, s))
     values: Dict[Tuple, List[str]] = {}
     for S in pairings:
         val = refined_descendant(polygon, s, pairing=S)
@@ -249,7 +248,7 @@ def verify_recursion(polygon: HTransversePolygon, s: int) -> Report:
     """Check G(0;s+1) = G(0;s) - 2 G_chop(0;s) exactly."""
     stats = lattice_stats(polygon)
     name = "recursion %s s=%d" % (polygon.key(), s)
-    if 2 * s > stats.boundary - 1 - 2:
+    if 2 * s > stats.n_delta - 2:
         raise ValueError("recursion needs 2s <= n(Delta) - 2")
     smaller = chop_top(polygon)
     lhs = refined_descendant(polygon, s + 1)

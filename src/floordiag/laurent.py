@@ -123,21 +123,11 @@ class LaurentPoly:
 
     def render(self) -> str:
         """Text form with descending exponents, e.g. 'q^2 + 2*q + 2 + 2*q^-1 + q^-2'."""
-        if not self._c:
-            return "0"
-        parts = []
+        terms = []
         for e2 in sorted(self._c, reverse=True):
-            v = self._c[e2]
-            if e2 == 0:
-                body = str(abs(v))
-            else:
-                power = "q" if e2 == 2 else ("q^%d" % (e2 // 2) if e2 % 2 == 0 else "q^%d/2" % e2)
-                body = power if abs(v) == 1 else "%d*%s" % (abs(v), power)
-            if not parts:
-                parts.append(body if v > 0 else "-" + body)
-            else:
-                parts.append(("+ " if v > 0 else "- ") + body)
-        return " ".join(parts)
+            power = "q" if e2 == 2 else ("q^%d" % (e2 // 2) if e2 % 2 == 0 else "q^%d/2" % e2)
+            terms.append((self._c[e2], power if e2 else ""))
+        return signed_sum(terms)
 
     def to_json(self) -> Dict[str, int]:
         """JSON form keyed by doubled exponents, e.g. {"2": 1, "0": 10, "-2": 1}."""
@@ -146,6 +136,21 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> "LaurentPoly":
         return cls({int(k): v for k, v in data.items()})
+
+
+def signed_sum(terms: Iterable[Tuple[object, str]]) -> str:
+    """Text of a sum of (nonzero coefficient, monomial) terms in the given
+    order, e.g. '2*q^2 - q + 3': a unit coefficient is left off its
+    monomial, the empty monomial is the constant term, and no terms give '0'.
+    """
+    parts = []
+    for c, monomial in terms:
+        body = monomial or str(abs(c))
+        if monomial and abs(c) != 1:
+            body = "%s*%s" % (abs(c), monomial)
+        parts.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(parts) or "+ 0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def quantum_integer(k: int) -> LaurentPoly:

@@ -13,6 +13,8 @@ from itertools import product
 from math import comb
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .laurent import signed_sum
+
 Monomial = Tuple[int, ...]
 PolyDict = Dict[Monomial, Fraction]
 
@@ -45,9 +47,7 @@ class RationalPoly:
         return max((m[var_index] for m, _ in self.coeffs), default=0)
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
+        terms = []
         for mono, c in sorted(self.coeffs, key=lambda mc: (-sum(mc[0]), mc[0])):
             factors = []
             for name, e in zip(self.variables, mono):
@@ -55,15 +55,8 @@ class RationalPoly:
                     factors.append(name)
                 elif e > 1:
                     factors.append("%s^%d" % (name, e))
-            body = "*".join(factors)
-            if not body:
-                body = str(abs(c))
-            elif abs(c) != 1:
-                body = "%s*%s" % (abs(c), body)
-            parts.append(("+ " if c > 0 else "- ") + body)
-        first = parts[0]
-        out = (first[2:] if first.startswith("+ ") else "-" + first[2:])
-        return " ".join([out] + parts[1:])
+            terms.append((c, "*".join(factors)))
+        return signed_sum(terms)
 
     def to_json(self) -> Dict:
         return {
@@ -121,9 +114,6 @@ class FitReport:
     expected_degrees: Dict[str, int] = field(default_factory=dict)
     region: Dict[str, List[int]] = field(default_factory=dict)
     details: List[str] = field(default_factory=list)
-
-    def line(self) -> str:
-        return "%s %s" % ("PASS" if self.passed else "FAIL", self.name)
 
     def to_json(self) -> Dict:
         return {

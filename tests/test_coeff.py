@@ -13,7 +13,7 @@ from floordiag.coeff import (
     in_region_U,
     nu,
 )
-from floordiag.diagram import canonical_key, codegree, enumerate_floor_diagrams
+from floordiag.diagram import FloorDiagram, canonical_key, codegree, enumerate_floor_diagrams
 from floordiag.invariant import descendant_codegree_coeff
 from floordiag.laurent import prod, quantum_integer
 from floordiag.marking import canonical_pairing, enumerate_markings, is_compatible
@@ -127,6 +127,27 @@ def test_build_D_membership_in_enumeration():
 def test_build_D_rejects_nonpositive_weight():
     with pytest.raises(ValueError):
         build_D(3, 0, 0, UVector((0, 1), (0, 0)))
+
+
+@pytest.mark.parametrize("a, b, n, uv, floors, elevators", [
+    # spans of the two chain templates overlapping, touching, overlapping
+    (4, 2, 1, UVector((1, 0), (0, 0)),
+     ((0, 1, 5, 0), (0, 1, 1, 0), (0, 1, 0, 0), (0, 1, 0, 2)),
+     ((0, 1, 4), (1, 2, 4), (2, 3, 3))),
+    (5, 3, 0, UVector((0, 1), (1, 0)),
+     ((0, 0, 2, 0), (0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 2)),
+     ((0, 1, 2), (1, 2, 2), (2, 3, 3), (3, 4, 2))),
+    (6, 4, 2, UVector((1, 0, 0), (0, 1, 0)),
+     ((0, 2, 15, 0), (0, 2, 1, 0), (0, 2, 0, 0), (0, 2, 0, 1), (0, 2, 0, 0), (0, 2, 0, 3)),
+     ((0, 1, 13), (1, 2, 12), (2, 3, 10), (3, 4, 7), (4, 5, 5))),
+])
+def test_build_D_pinned_diagrams(a, b, n, uv, floors, elevators):
+    assert build_D(a, b, n, uv) == FloorDiagram(floors, elevators)
+
+
+def test_build_D_rejects_degenerate_polygon():
+    with pytest.raises(ValueError):
+        build_D(1, 0, 0, UVector((), ()))  # b = n = 0 is no Delta_{a,b,n}
 
 
 def test_small_codegree_classification():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from floordiag.diagram import (
     FloorDiagram,
+    _distinct_permutations,
     _labelled,
     _openings,
     _splits,
@@ -14,6 +15,7 @@ from floordiag.diagram import (
     canonical_form,
     canonical_key,
     codegree,
+    compositions,
     enumerate_floor_diagrams,
     mult,
     run_enumeration_task,
@@ -197,6 +199,21 @@ def test_openings_of_a_zero_total(free_above):
         assert list(_openings(0, 0, cap, free_above)) == [((), 0, 1)]
         for least in range(1, 4):
             assert list(_openings(0, least, cap, free_above)) == []
+
+
+def test_openings_without_free_slots_are_the_compositions():
+    for total in range(7):
+        for least in range(4):
+            for cap in range(5):
+                want = [(weights, 0, 1)
+                        for k in range(max(least, 1 if total else 0), min(cap, total) + 1)
+                        for weights in compositions(total, k)]
+                assert list(_openings(total, least, cap, None)) == want
+
+
+@pytest.mark.parametrize("values", [(), (1,), (0, 0, 0), (-2, 0, 1, 1), (2, 2, 1, 1, 0)])
+def test_distinct_permutations_in_lexicographic_order(values):
+    assert list(_distinct_permutations(values)) == sorted(set(itertools.permutations(values)))
 
 
 @pytest.mark.parametrize("poly,genus,i", [

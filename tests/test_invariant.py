@@ -1,6 +1,7 @@
 import json
 import os
 import warnings
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 from unittest import mock
@@ -329,6 +330,63 @@ def test_genus_zero_at_minus_one_is_welschinger():
 
 def test_quartic_genus_one_at_one_is_severi_degree():
     assert refined_invariant(D4, 1).evaluate_at_one() == 225
+
+
+# Node polynomials N_delta(d): the number of delta-nodal plane curves of
+# degree d through d(d+3)/2 - delta general points.  delta = 1 is the degree
+# of the discriminant; delta = 2 and 3 are from Kleiman-Piene, "Enumerating
+# singular curves on surfaces" (1999).  Every such curve is irreducible when
+# delta <= d - 2, so N_delta(d) is G_{Delta_d}(iota - delta) at q = 1.
+NODE_POLYNOMIALS = {
+    1: (range(3, 10), lambda d: 3 * (d - 1) ** 2),
+    2: (range(4, 10), lambda d: Fraction(3, 2) * (d - 1) * (d - 2) * (3 * d ** 2 - 3 * d - 11)),
+    3: (range(5, 10), lambda d: (Fraction(9, 2) * d ** 6 - 27 * d ** 5 + Fraction(9, 2) * d ** 4
+                                 + Fraction(423, 2) * d ** 3 - 229 * d ** 2
+                                 - Fraction(829, 2) * d + 525)),
+}
+
+
+@pytest.mark.parametrize("delta", sorted(NODE_POLYNOMIALS))
+def test_high_genus_at_one_is_the_node_polynomial(delta, monkeypatch):
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    degrees, node_polynomial = NODE_POLYNOMIALS[delta]
+    for d in degrees:
+        iota = (d - 1) * (d - 2) // 2
+        value = refined_invariant(make_delta_d(d), iota - delta).evaluate_at_one()
+        assert value == node_polynomial(d), d
+
+
+def _labelled_sum(polygon, genus):
+    """Sum of mult(L) times the label-order extension count over the
+    labelled diagrams L, with one mult per multiset of elevator weights."""
+    groups = {}
+    for d, _, _ in diagram._labelled(polygon, genus, None):
+        weights = tuple(sorted(w for _, _, w in d.elevators if w > 1))
+        groups.setdefault(weights, [d, 0])[1] += marking.count_reduced_extensions(
+            d, in_label_order=True)
+    total = LaurentPoly.zero()
+    for d, n in groups.values():
+        total = total + diagram.mult(d).scalar_mul(n)
+    return total
+
+
+@pytest.mark.parametrize("literal, max_genus", [
+    ("abn:5,0,1", 6), ("ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1", 2), ("abn:4,1,2", 3)])
+def test_labelled_sum_is_the_invariant(literal, max_genus, monkeypatch):
+    # the sum over labelled floor diagrams (Fomin-Mikhalkin) gives the
+    # whole Laurent polynomial that the sum over classes gives
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    polygon = parse_polygon(literal)
+    for g in range(max_genus + 1):
+        assert _labelled_sum(polygon, g) == refined_invariant(polygon, g), g
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_polygons())
+def test_labelled_sum_is_the_invariant_on_random_polygons(polygon):
+    with mock.patch.dict(os.environ, {"FLOORDIAG_CACHE_DIR": ""}):
+        for g in range(3):
+            assert _labelled_sum(polygon, g) == refined_invariant(polygon, g), g
 
 
 def test_cache_roundtrip(tmp_path):

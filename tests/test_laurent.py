@@ -98,6 +98,8 @@ def test_render():
     assert LaurentPoly.zero().render() == "0"
     assert LaurentPoly({4: 2, 1: 1, 0: -3}).render() == "2*q^2 + q^1/2 - 3"
     assert LaurentPoly({-6: 5}).render() == "5*q^-3"
+    assert LaurentPoly({6: -1, 2: 4, -1: 2, -3: -1}).render() == "-q^3 + 4*q + 2*q^-1/2 - q^-3/2"
+    assert LaurentPoly({0: 3, -5: -7, -2: 1}).render() == "3 + q^-1 - 7*q^-5/2"
 
 
 def test_json_roundtrip():

@@ -141,6 +141,13 @@ def test_rational_poly_render():
                                                (0, 0): Fraction(1, 2)})
     text = poly.render()
     assert "3*a" in text and "2*s" in text
+    poly = RationalPoly.from_dict(("a", "s"), {(2, 0): Fraction(-1), (1, 1): Fraction(3, 2),
+                                               (0, 1): Fraction(-1, 6), (0, 0): Fraction(5)})
+    assert poly.render() == "3/2*a*s - a^2 - 1/6*s + 5"
+    poly = RationalPoly.from_dict(("a", "b", "s"), {(0, 0, 0): Fraction(-1, 2),
+                                                    (1, 0, 2): Fraction(-2), (0, 1, 0): Fraction(1)})
+    assert poly.render() == "-2*a*s^2 + b - 1/2"
+    assert RationalPoly.from_dict(("a",), {}).render() == "0"
 
 
 def test_descendant_coefficients_have_constant_ith_derivative():
