@@ -22,10 +22,11 @@ floor sequence (automorphism_count) rejects the other labellings and
 counts the automorphisms of that one, so it builds no canonical forms
 and no automorphism groups; codegree_coefficient_sum sums over the
 labelled shapes as they come, so the codegree path needs no canonical
-forms or automorphisms.  canonical_form serves the tests and the
-perfbench spans; a layered diagram has one topological order, so it is
-its own canonical form.  The key accounting identity, with iota the
-interior lattice count and E0 the internal elevator set:
+forms or automorphisms.  canonical_form (the least relabelling) and
+vertex_automorphisms (those that give back the diagram) read every
+topological floor order that linear_extensions lists; a layered diagram
+has one, so it is its own canonical form.  The key accounting identity,
+with iota the interior lattice count and E0 the internal elevator set:
 
     codeg(D) = iota + a - 1 - sum(F_gap)  +  sum((span(e) - 1) * w(e))
 
@@ -188,36 +189,42 @@ def _below(diagram: FloorDiagram) -> List[int]:
     return below
 
 
-def canonical_form(diagram: FloorDiagram) -> FloorDiagram:
-    """The least relabelling; identical for isomorphic diagrams.
-
-    The floor sequence leads the key, so only a relabelling that places a
-    ready floor of the least value at each position can be least.  The
-    search lists every such relabelling and returns the least.
-    """
-    a = diagram.n_floors
-    floors, elevators = diagram.floors, diagram.elevators
-    below = _below(diagram)
-    p = [0] * a  # old label -> new label
+def linear_extensions(preds: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Every order of the elements 0..n-1 that places each element k after
+    every element of its bitmask preds[k], in lexicographic order of the
+    indices; a cyclic preds has none."""
+    n = len(preds)
     order: List[int] = []
-    found: List[Tuple] = []  # (floors, elevators) of each relabelling
 
-    def rec(pos: int, placed: int) -> None:
-        if pos == a:
-            found.append((tuple(floors[v] for v in order),
-                          tuple(sorted([(p[i], p[j], w) for i, j, w in elevators]))))
+    def rec(placed: int) -> Iterator[Tuple[int, ...]]:
+        if len(order) == n:
+            yield tuple(order)
             return
-        ready = [v for v in range(a) if not placed >> v & 1 and not below[v] & ~placed]
-        least = min(floors[v] for v in ready)
-        for v in ready:
-            if floors[v] == least:
-                p[v] = pos
-                order.append(v)
-                rec(pos + 1, placed | 1 << v)
+        for k in range(n):
+            if not placed >> k & 1 and not preds[k] & ~placed:
+                order.append(k)
+                yield from rec(placed | 1 << k)
                 order.pop()
 
-    rec(0, 0)
-    return FloorDiagram(*min(found))
+    return rec(0)
+
+
+def _relabellings(diagram: FloorDiagram) -> Iterator[Tuple[Tuple[int, ...], Tuple]]:
+    """(p, key) per topological floor order: p maps each old label to its
+    position in the order, and key is the diagram relabelled by p."""
+    floors, elevators = diagram.floors, diagram.elevators
+    for order in linear_extensions(_below(diagram)):
+        p = [0] * len(order)
+        for new, old in enumerate(order):
+            p[old] = new
+        yield tuple(p), (tuple(floors[v] for v in order),
+                         tuple(sorted([(p[i], p[j], w) for i, j, w in elevators])))
+
+
+def canonical_form(diagram: FloorDiagram) -> FloorDiagram:
+    """The least relabelling over every topological floor order; identical
+    for isomorphic diagrams."""
+    return FloorDiagram(*min(key for _, key in _relabellings(diagram)))
 
 
 def canonical_key(diagram: FloorDiagram) -> Tuple:
@@ -228,7 +235,9 @@ def automorphism_count(diagram: FloorDiagram) -> int:
     """The number of floor automorphisms when the diagram is its own
     canonical form (canonical_form(d) == d), else 0.
 
-    The search follows the diagram's own floor sequence, placing at each
+    The floor sequence leads the key, so only a relabelling that places a
+    ready floor of the least value at each position can be least.  The
+    search follows the diagram's own floor sequence, placing at each
     position the ready floors equal to the diagram's floor there.  It
     returns 0 at the first ready floor that is smaller or the first
     complete relabelling whose elevators sort smaller; otherwise it has
@@ -268,30 +277,11 @@ def automorphism_count(diagram: FloorDiagram) -> int:
 
 
 def vertex_automorphisms(diagram: FloorDiagram) -> List[Tuple[int, ...]]:
-    """Floor permutations preserving labels, decorations and weighted elevators.
-
-    An automorphism p (old -> new) keeps every elevator pointing up, so it
-    lists the floors in a topological order: the search places at each
-    position a ready floor equal to the diagram's own floor there.
-    """
-    a = diagram.n_floors
-    floors, elevators = diagram.floors, diagram.elevators
-    below = _below(diagram)
-    p = [0] * a
-    found: List[Tuple[int, ...]] = []
-
-    def rec(pos: int, placed: int) -> None:
-        if pos == a:
-            if tuple(sorted([(p[i], p[j], w) for i, j, w in elevators])) == elevators:
-                found.append(tuple(p))
-            return
-        for v in range(a):
-            if not placed >> v & 1 and not below[v] & ~placed and floors[v] == floors[pos]:
-                p[v] = pos
-                rec(pos + 1, placed | 1 << v)
-
-    rec(0, 0)
-    return found
+    """Floor permutations preserving labels, decorations and weighted
+    elevators: the relabellings that give back the diagram, each as p
+    (old -> new), in lexicographic order of the floor orders."""
+    key = diagram.key()
+    return [p for p, image in _relabellings(diagram) if image == key]
 
 
 # -- enumeration ------------------------------------------------------------

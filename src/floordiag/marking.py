@@ -12,12 +12,14 @@ count_markings and descendant_sum take that number from the caller
 lists the automorphisms itself, to check that they act freely.
 
 reduced_poset lists the elements and their cover predecessors in one
-pass; iter_reduced_extensions and descendant_sum walk the downsets of
-that poset.  count_reduced_extensions builds its own, smaller masks and
-leaves the sources out of its downset DP: they are minimal and each lies
-under one floor.  When floor v is placed after m elements of the DP and
-after the S sources of the floors placed before it, its s_v sources, in
-their fixed order, go into that prefix in C(m + S + s_v, s_v) ways.
+pass; iter_reduced_extensions maps the orders of that poset that
+diagram.linear_extensions lists to its elements, and descendant_sum
+walks its downsets.  count_reduced_extensions builds its own, smaller
+masks and leaves the sources out of its downset DP: they are minimal and
+each lies under one floor.  When floor v is placed after m elements of
+the DP and after the S sources of the floors placed before it, its s_v
+sources, in their fixed order, go into that prefix in C(m + S + s_v, s_v)
+ways.
 That DP is a forward pass, one downset size at a time: each downset
 carries its count of extensions, its ready elements and the sources of
 its floors.
@@ -26,6 +28,11 @@ Both DPs carry each downset's ready elements forward.  Each element
 lists the elements directly above it (_successors), so a new downset
 finds its ready elements from the one element just placed instead of
 testing every element, and the DPs step over ready elements only.
+
+mu_S is the product of the factors that _single_key names for each
+unpaired position and _pair_key for each pair of S (None when the pair
+is incompatible); _factor_terms expands a key.  is_compatible, mu_S and
+descendant_sum all read that one rule.
 
 descendant_sum can stop at a doubled exponent, exactly: each element of
 weight w contributes doubled top exponent 2(w - 1) with coefficient 1,
@@ -65,8 +72,8 @@ from itertools import product
 from math import comb, factorial
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .diagram import FloorDiagram, vertex_automorphisms
-from .laurent import EngineError, LaurentPoly, divide_exact, quantum_integer
+from .diagram import FloorDiagram, linear_extensions, vertex_automorphisms
+from .laurent import EngineError, LaurentPoly, divide_exact, prod, quantum_integer
 
 Element = Tuple  # ("floor", v) | ("elev", i, j, w, copy) | ("src", v, copy) | ("snk", v, copy)
 Marking = Tuple[Element, ...]
@@ -107,22 +114,8 @@ def reduced_poset(diagram: FloorDiagram) -> Tuple[List[Element], List[int]]:
 def iter_reduced_extensions(diagram: FloorDiagram) -> Iterator[Marking]:
     """Linear extensions with interchangeable copies in canonical order."""
     elems, preds = reduced_poset(diagram)
-    n = len(elems)
-    full = (1 << n) - 1
-    seq: List[Element] = []
-
-    def rec(placed: int):
-        if placed == full:
-            yield tuple(seq)
-            return
-        for k in range(n):
-            bit = 1 << k
-            if not placed & bit and (preds[k] & ~placed) == 0:
-                seq.append(elems[k])
-                yield from rec(placed | bit)
-                seq.pop()
-
-    yield from rec(0)
+    for order in linear_extensions(preds):
+        yield tuple(elems[k] for k in order)
 
 
 def _successors(preds: Sequence[int]) -> List[List[Tuple[int, int]]]:
@@ -397,77 +390,7 @@ def _weight(e: Element) -> int:
     return e[3] if e[0] == "elev" else 1
 
 
-def _adjacent(e: Element, v: int) -> bool:
-    return _tail_floor(e) == v or _head_floor(e) == v
-
-
-def _pair_kind(x: Element, y: Element) -> Optional[str]:
-    """'floor' / 'double' for the two compatible configurations, None otherwise."""
-    floors = [e for e in (x, y) if e[0] == "floor"]
-    elevs = [e for e in (x, y) if e[0] != "floor"]
-    if len(floors) == 1:
-        return "floor" if _adjacent(elevs[0], floors[0][1]) else None
-    if len(floors) == 2:
-        return None
-    t0, t1 = _tail_floor(elevs[0]), _tail_floor(elevs[1])
-    if t0 is not None and t0 == t1:
-        return "double"
-    h0, h1 = _head_floor(elevs[0]), _head_floor(elevs[1])
-    if h0 is not None and h0 == h1:
-        return "double"
-    return None
-
-
-def is_compatible(diagram: FloorDiagram, marking: Marking, pairing: Pairing) -> bool:
-    for i, j in pairing:
-        if _pair_kind(marking[i - 1], marking[j - 1]) is None:
-            return False
-    return True
-
-
 _TWO = quantum_integer(2)
-
-
-def mu_S(diagram: FloorDiagram, marking: Marking, pairing: Pairing) -> LaurentPoly:
-    """Refined S-multiplicity of the marked diagram; zero when incompatible.
-
-    Elevators paired with an adjacent floor contribute [w](q^2), paired
-    elevators with a common floor contribute [w][w'][w+w']/[2], all others
-    contribute [w]^2.
-    """
-    paired: Dict[Element, str] = {}
-    double_pairs: List[Tuple[Element, Element]] = []
-    for i, j in pairing:
-        x, y = marking[i - 1], marking[j - 1]
-        kind = _pair_kind(x, y)
-        if kind is None:
-            return LaurentPoly.zero()
-        if kind == "floor":
-            e = x if x[0] != "floor" else y
-            paired[e] = "single"
-        else:
-            paired[x] = paired[y] = "double"
-            double_pairs.append((x, y))
-    out = LaurentPoly.one()
-    for e in marking:
-        if e[0] == "floor" or e in paired:
-            continue
-        w = _weight(e)
-        if w > 1:
-            q = quantum_integer(w)
-            out = out * q * q
-    for e in paired:
-        if paired[e] == "single":
-            w = _weight(e)
-            if w > 1:
-                out = out * quantum_integer(w).substitute_q_squared()
-    for x, y in double_pairs:
-        w, wp = _weight(x), _weight(y)
-        num = quantum_integer(w) * quantum_integer(wp) * quantum_integer(w + wp)
-        out = out * divide_exact(num, _TWO)
-    return out
-
-
 _UNIT = ("unit",)
 
 
@@ -485,20 +408,47 @@ def _factor_terms(key: Tuple) -> Tuple[Tuple[int, int], ...]:
 
 
 def _single_key(e: Element) -> Tuple:
+    """Factor key of e at an unpaired position: [w]^2."""
     w = _weight(e)
     return ("square", w) if w > 1 else _UNIT
 
 
 def _pair_key(x: Element, y: Element) -> Optional[Tuple]:
-    """Factor key of x, y at the two positions of a pair; None when incompatible."""
-    kind = _pair_kind(x, y)
-    if kind == "floor":
-        w = _weight(x if x[0] != "floor" else y)
+    """Factor key of x, y at the two positions of a pair; None when
+    incompatible.  The two compatible configurations are an elevator
+    paired with a floor it is adjacent to, [w](q^2), and two elevators
+    with a common floor, [w][w'][w+w']/[2]."""
+    if x[0] == "floor":
+        x, y = y, x  # a floor, if any, is y
+    if y[0] == "floor":
+        if x[0] == "floor" or y[1] not in (_tail_floor(x), _head_floor(x)):
+            return None
+        w = _weight(x)
         return ("floor", w) if w > 1 else _UNIT
-    if kind == "double":
-        w, wp = sorted((_weight(x), _weight(y)))
-        return ("double", w, wp) if wp > 1 else _UNIT
-    return None
+    t0, t1 = _tail_floor(x), _tail_floor(y)
+    h0, h1 = _head_floor(x), _head_floor(y)
+    if (t0 is None or t0 != t1) and (h0 is None or h0 != h1):
+        return None
+    w, wp = sorted((_weight(x), _weight(y)))
+    return ("double", w, wp) if wp > 1 else _UNIT
+
+
+def is_compatible(diagram: FloorDiagram, marking: Marking, pairing: Pairing) -> bool:
+    return all(_pair_key(marking[i - 1], marking[j - 1]) is not None for i, j in pairing)
+
+
+def mu_S(diagram: FloorDiagram, marking: Marking, pairing: Pairing) -> LaurentPoly:
+    """Refined S-multiplicity of the marked diagram; zero when incompatible.
+
+    The product of one factor per pair of S (_pair_key) and one per
+    unpaired position (_single_key, [w]^2).
+    """
+    keys = [_pair_key(marking[i - 1], marking[j - 1]) for i, j in pairing]
+    if None in keys:
+        return LaurentPoly.zero()
+    paired = {k for pair in pairing for k in pair}
+    keys += [_single_key(e) for k, e in enumerate(marking, 1) if k not in paired]
+    return prod(LaurentPoly(dict(_factor_terms(key))) for key in keys if key != _UNIT)
 
 
 def descendant_sum(

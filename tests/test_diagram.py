@@ -17,6 +17,7 @@ from floordiag.diagram import (
     codegree,
     compositions,
     enumerate_floor_diagrams,
+    linear_extensions,
     mult,
     run_enumeration_task,
     validate,
@@ -410,7 +411,51 @@ def test_automorphism_counts():
     assert len(vertex_automorphisms(star)) == 2
 
 
-# -- the pruned canonical search against every topological order -------------
+# -- the lister of poset orders against a filter of all permutations -----------
+
+
+@st.composite
+def precedence_masks(draw):
+    """Bitmasks preds[0..n-1] with n <= 6: arbitrary ones, mostly cyclic, or
+    acyclic ones whose elements are shuffled."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    preds = [0] * n
+    for k in range(n):
+        below = draw(st.integers(0, (1 << k) - 1))
+        preds[perm[k]] = sum(1 << perm[u] for u in range(k) if below >> u & 1)
+    return preds
+
+
+def admissible_orders(preds):
+    """The permutations of 0..n-1, in lexicographic order, that place every
+    element after the elements of its mask."""
+    n = len(preds)
+    return [order for order in itertools.permutations(range(n))
+            if all(order.index(u) < order.index(k)
+                   for k in range(n) for u in range(n) if preds[k] >> u & 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(precedence_masks())
+def test_linear_extensions_match_filtered_permutations(preds):
+    assert list(linear_extensions(preds)) == admissible_orders(preds)
+
+
+@pytest.mark.parametrize("preds,orders", [
+    ([], [()]),
+    ([0, 0, 0], list(itertools.permutations(range(3)))),
+    ([0, 0b1, 0b10], [(0, 1, 2)]),
+    ([0b10, 0b100, 0], [(2, 1, 0)]),
+    ([0b10, 0b1], []),
+])
+def test_linear_extensions_fixed_cases(preds, orders):
+    assert list(linear_extensions(preds)) == orders
+
+
+# -- canonical forms, automorphisms and the pruned automorphism_count ---------
 
 
 def _floor_order_extensions(diagram):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,11 @@ from floordiag.diagram import (
     _labelled,
     enumerate_floor_diagrams,
     mult,
+    validate,
     vertex_automorphisms,
 )
 from floordiag.invariant import refined_descendant, refined_invariant
-from floordiag.laurent import EngineError, LaurentPoly, poly_geq
+from floordiag.laurent import EngineError, LaurentPoly, poly_geq, quantum_integer
 from floordiag.marking import (
     all_pairings,
     canonical_pairing,
@@ -300,6 +303,80 @@ def test_automorphisms_permute_reduced_extensions_on_random_polygons(polygon, ge
     assume(sum(count_reduced_extensions(d) for d in diagrams) <= 20_000)
     for d in diagrams:
         assert_automorphisms_permute_reduced_extensions(d)
+
+
+# An elevator of weight 3 from floor 0 to floor 1, and two elevators of
+# weights 2 and 3 leaving floor 0; the markings list the elements one by one.
+WEIGHT3 = FloorDiagram(((0, 0, 3, 0), (0, 0, 0, 3)), ((0, 1, 3),))
+WEIGHT3_MARKING = (("src", 0, 0), ("src", 0, 1), ("src", 0, 2), ("floor", 0),
+                   ("elev", 0, 1, 3, 0), ("floor", 1),
+                   ("snk", 1, 0), ("snk", 1, 1), ("snk", 1, 2))
+FORK23 = FloorDiagram(((0, 0, 5, 0), (0, 0, 0, 2), (0, 0, 0, 3)), ((0, 1, 2), (0, 2, 3)))
+FORK23_MARKING = (("src", 0, 0), ("src", 0, 1), ("src", 0, 2), ("src", 0, 3), ("src", 0, 4),
+                  ("floor", 0), ("elev", 0, 1, 2, 0), ("elev", 0, 2, 3, 0),
+                  ("floor", 1), ("floor", 2), ("snk", 1, 0), ("snk", 1, 1),
+                  ("snk", 2, 0), ("snk", 2, 1), ("snk", 2, 2))
+
+
+q = quantum_integer  # [w] is q(w)
+
+
+@pytest.mark.parametrize("d,m,pairs,want", [
+    # unpaired weights: [w]^2 each
+    (WEIGHT3, WEIGHT3_MARKING, [], q(3) * q(3)),
+    (FORK23, FORK23_MARKING, [], q(2) * q(2) * q(3) * q(3)),
+    # an elevator paired with its lower or upper floor: [w](q^2)
+    (WEIGHT3, WEIGHT3_MARKING, [(4, 5)], q(3).substitute_q_squared()),
+    (WEIGHT3, WEIGHT3_MARKING, [(5, 6)], q(3).substitute_q_squared()),
+    (FORK23, FORK23_MARKING, [(6, 7)], q(2).substitute_q_squared() * q(3) * q(3)),
+    # two elevators leaving one floor: [2][3][5]/[2] = [3][5]
+    (FORK23, FORK23_MARKING, [(7, 8)], q(3) * q(5)),
+    # two sinks of one floor: [1][1][2]/[2] = 1
+    (FORK23, FORK23_MARKING, [(11, 12)], q(2) * q(2) * q(3) * q(3)),
+])
+def test_mu_S_factor_rule(d, m, pairs, want):
+    assert validate(d, d.newton_polygon()) == []
+    assert m in set(iter_reduced_extensions(d))
+    pairing = make_pairing(pairs)
+    assert is_compatible(d, m, pairing)
+    assert mu_S(d, m, pairing) == want
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_compatible_exactly_when_mu_S_is_nonzero(d):
+    for diagram in enumerate_floor_diagrams(make_delta_d(d), 0):
+        n = diagram.n_marks()
+        pairings = [S for s in range(3) for S in all_pairings(n, s)]
+        for m in enumerate_markings(diagram):
+            for S in pairings:
+                assert is_compatible(diagram, m, S) == (not mu_S(diagram, m, S).is_zero())
+
+
+# The order of each list is pinned, not only its content: the marked-class
+# table of `verify` prints its rows in the order of enumerate_markings.
+DELTA4_AUTOMORPHISMS = [
+    [(0, 1, 2, 3)], [(0, 1, 2, 3), (0, 1, 3, 2)], [(0, 1, 2, 3)],
+    [(0, 1, 2, 3), (1, 0, 2, 3)], [(0, 1, 2, 3)], [(0, 1, 2, 3)],
+    [(0, 1, 2, 3), (0, 1, 3, 2)], [(0, 1, 2, 3)],
+    [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 1, 2), (0, 2, 3, 1), (0, 3, 2, 1)],
+    [(0, 1, 2, 3)], [(0, 1, 2, 3), (0, 1, 3, 2)], [(0, 1, 2, 3)],
+]
+DELTA4_MARKINGS = ([40, 45, 15, 35, 102, 8, 18, 6, 15, 15, 3, 1],
+                   "d7ac48d0eb3667ebba76ca02ab143b1f2a1c1b299c6efa71cf360a9d011140d3")
+DELTA4_EXTENSIONS = ([40, 90, 15, 70, 102, 8, 36, 6, 90, 15, 6, 1],
+                     "ff0c6b208081030b993da2e97021d92a97406e64c5d7a27ac928379bbeaeab15")
+
+
+def sizes_and_digest(lists):
+    return [len(x) for x in lists], hashlib.sha256(repr(lists).encode()).hexdigest()
+
+
+def test_delta4_orders_are_pinned():
+    classes = list(enumerate_floor_diagrams(make_delta_d(4), 0))
+    assert [vertex_automorphisms(d) for d in classes] == DELTA4_AUTOMORPHISMS
+    assert sizes_and_digest([enumerate_markings(d) for d in classes]) == DELTA4_MARKINGS
+    extensions = [list(iter_reduced_extensions(d)) for d in classes]
+    assert sizes_and_digest(extensions) == DELTA4_EXTENSIONS
 
 
 def test_elevator_partition():
