@@ -20,12 +20,25 @@ the one labelling that is its own canonical form, and maps it to its
 number of floor automorphisms: one search along the labelling's own
 floor sequence (automorphism_count) rejects the other labellings and
 counts the automorphisms of that one, so it builds no canonical forms
-and no automorphism groups; codegree_coefficient_sum sums over the
-labelled shapes as they come, so the codegree path needs no canonical
-forms or automorphisms.  canonical_form (the least relabelling) and
+and no automorphism groups.  canonical_form (the least relabelling) and
 vertex_automorphisms (those that give back the diagram) read every
 topological floor order that linear_extensions lists; a layered diagram
-has one, so it is its own canonical form.  The key accounting identity,
+has one, so it is its own canonical form.
+
+codegree_coefficients lists no diagram at all.  It takes the walk's
+moves floor by floor (_floor_moves, with the walk's cuts and edge budget,
+_walk_tables) but keeps, per label order, one level of states: the sources and sinks left, the cost spent,
+the cycles, the components with open elevators (each a tuple of the
+weights already placed in a gap and a tuple of those still pending) and
+the pending sinks.  Each state carries the codegree-truncated sum over
+its paths of the source binomials, gap factorials, [w]^2 coefficients
+and free-slot assignments, every factor local to one floor or one gap.
+Equal elevators and sinks count as distinct copies, and one exact
+division by the labellings of the copies ends the sum.
+codegree_coefficient_sum, the sum over the labelled shapes that the walk
+lists, serves the tests as its oracle.
+
+The key accounting identity,
 with iota the interior lattice count and E0 the internal elevator set:
 
     codeg(D) = iota + a - 1 - sum(F_gap)  +  sum((span(e) - 1) * w(e))
@@ -44,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .laurent import EngineError, LaurentPoly, prod, quantum_integer
@@ -411,6 +424,23 @@ def _search_bound(
     return iota, bound
 
 
+def _walk_tables(
+    polygon: HTransversePolygon, ls: Sequence[int], rs: Sequence[int], iota: int
+) -> Tuple[List[int], int, List[List[int]]]:
+    """(divs, base, most) for the label order (ls, rs): the divergence
+    r - l of each floor, _base_codegree, and the edge budget most[j][u],
+    the most elevators floors j+1..a-2 can open when u sinks are left for
+    them.  The weight crossing gap k is at most d_b - (d_t - u) - sums[k+1]
+    (every source below it and no further sink), and every elevator, free
+    slots included, carries weight >= 1."""
+    a = polygon.height
+    divs = [r - l for l, r in zip(ls, rs)]
+    sums = list(itertools.accumulate(divs, initial=0))
+    most = [[sum(max(0, polygon.d_b - polygon.d_t + u - x) for x in sums[j + 2:a])
+             for u in range(polygon.d_t + 1)] for j in range(a)]
+    return divs, _base_codegree(polygon, ls, rs, iota), most
+
+
 def run_enumeration_task(
     polygon: HTransversePolygon,
     genus: int,
@@ -456,15 +486,8 @@ def run_enumeration_task(
     """
     iota, bound = _search_bound(polygon, genus, max_codeg)
     a = polygon.height
-    divs = [r - l for l, r in zip(ls, rs)]
-    base = _base_codegree(polygon, ls, rs, iota)
+    divs, base, most = _walk_tables(polygon, ls, rs, iota)
     target_edges = a - 1 + genus
-    # most[j][u]: the most elevators floors j+1..a-2 can open when u sinks
-    # are left for them.  The weight crossing gap k is at most
-    # d_b - (d_t - u) - sums[k+1]: every source below it and no further sink
-    sums = list(itertools.accumulate(divs, initial=0))
-    most = [[sum(max(0, polygon.d_b - polygon.d_t + u - x) for x in sums[j + 2:a])
-             for u in range(polygon.d_t + 1)] for j in range(a)]
     found: List[Tuple[FloorDiagram, int, int]] = []
 
     srcs, snks = [0] * a, [0] * a  # sources and sinks of the floors below j
@@ -565,6 +588,23 @@ def run_enumeration_task(
     return found
 
 
+def _label_orders(
+    polygon: HTransversePolygon, genus: int, max_codeg: Optional[int]
+) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Every pair (ls, rs) of l- and r-label orders of the floors, after
+    checking the arguments; none when the genus exceeds the interior
+    lattice count."""
+    ensure_valid(polygon)
+    if genus < 0:
+        raise ValueError("genus must be nonnegative")
+    if max_codeg is not None and max_codeg < 0:
+        raise ValueError("codegree bound must be nonnegative")
+    if genus > lattice_stats(polygon).interior:
+        return []
+    return [(ls, rs) for ls in _distinct_permutations(polygon.d_l)
+            for rs in _distinct_permutations(polygon.d_r)]
+
+
 def _labelled(
     polygon: HTransversePolygon,
     genus: int,
@@ -573,16 +613,8 @@ def _labelled(
 ) -> Iterator[Tuple[FloorDiagram, int, int]]:
     """(labelled diagram, assignments, codegree) over all l- and r-label
     orders of the floors; each labelled diagram comes once."""
-    ensure_valid(polygon)
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    if max_codeg is not None and max_codeg < 0:
-        raise ValueError("codegree bound must be nonnegative")
-    if genus > lattice_stats(polygon).interior:
-        return
-    for ls in _distinct_permutations(polygon.d_l):
-        for rs in _distinct_permutations(polygon.d_r):
-            yield from run_enumeration_task(polygon, genus, ls, rs, max_codeg, free_above)
+    for ls, rs in _label_orders(polygon, genus, max_codeg):
+        yield from run_enumeration_task(polygon, genus, ls, rs, max_codeg, free_above)
 
 
 def enumerate_floor_diagrams(
@@ -615,7 +647,8 @@ def codegree_coefficient_sum(
 ) -> int:
     """Sum shape_term(labelled_shape, shape_codegree) times the number of
     ordered free-weight assignments, over the labelled shapes of codegree
-    <= i of every label order.
+    <= i of every label order.  The codegree path no longer lists shapes
+    (codegree_coefficients); this sum is the tests' oracle for it.
 
     Each isomorphism class of shapes appears once per distinct labelling,
     so the caller's term sums over the labellings of a class to the class
@@ -625,3 +658,313 @@ def codegree_coefficient_sum(
         assign * shape_term(d, codeg)
         for d, assign, codeg in _labelled(polygon, genus, i, free_above=i)
     )
+
+
+# -- codegree coefficients by a transfer over walk states --------------------
+
+
+def _square_codegrees(w: int, n: int) -> List[int]:
+    """The codegree 0..n-1 coefficients of [w]^2: 1, 2, ..., w, ..., 2, 1,
+    then zeros.  Every weight above n-1 gives 1, 2, ..., n, so a free slot
+    counts as weight n."""
+    return [max(0, min(c + 1, 2 * w - 1 - c)) for c in range(n)]
+
+
+def _times(p: Sequence[int], f: Sequence[int], n: int) -> List[int]:
+    """The first n coefficients of the product of p and f (each at least n
+    long)."""
+    out = [0] * n
+    for x in range(n):
+        v = p[x]
+        if v:
+            for y in range(n - x):
+                out[x + y] += v * f[y]
+    return out
+
+
+def _exact_quotient(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise EngineError("codegree transfer: %d is not a multiple of %d" % (num, den))
+    return q
+
+
+def _floor_moves(
+    walk: Tuple, j: int, src_left: int, snk_left: int, spent: int, in_flow: int,
+    room: int, splits: Sequence[Tuple],
+) -> Iterator[Tuple]:
+    """The moves of floor j < a-1 in codegree_coefficients, as (s, t, here,
+    split, kept, out_total, must_open, cap): s sources and t sinks, a split
+    of the placed elevators, and out_total to open on floor j, between
+    must_open and cap elevators.  These are the cuts that
+    run_enumeration_task makes inline (there a generator per node measured
+    slower on the class path).
+
+    walk is (a, genus, bound, base, divs, most); spent is the placement
+    and span cost so far, and here adds the placement of floor j.  Each
+    split starts with the weight and the number of the elevators it keeps
+    open.
+
+    s sources and t sinks here make the weight crossing gap j in_flow + s
+    - t - divs[j], which must be >= 1 (a gap nothing crosses disconnects
+    the diagram), and the least codegree, with every source left over
+    placed on floor j+1 and the weight kept open added to the span cost,
+    must stay within the bound.  Floors j+1..a-2 open at most
+    most[j][sinks left], so floor j opens at least must_open; a gap crossed
+    by c elevators forces c-1 units of genus or span surplus, so c is
+    capped by 1 + genus + the span allowance.
+    """
+    a, genus, bound, base, divs, most = walk
+    div = divs[j]
+    slack = bound - base - spent - (j + 1) * src_left
+    for s in range(max(0, div + 1 - in_flow, -slack), src_left + 1):
+        t_max = min(snk_left, in_flow + s - div - 1, (slack + s) // (a - 1 - j))
+        for t in range(t_max + 1):
+            here = spent + j * s + (a - 1 - j) * t
+            flow = in_flow + s - t - div
+            least = base + here + (j + 1) * (src_left - s)
+            must_open = max(room - most[j][snk_left - t], 0)
+            for split in splits:
+                # an elevator kept open crosses gap j: its weight adds to the
+                # span cost and is not left to open here
+                kept = split[0]
+                out_total = flow - kept
+                if out_total < 0 or least + kept > bound:
+                    continue
+                cap = min(room, 1 + genus + bound - least - split[1])
+                yield s, t, here, split, kept, out_total, must_open, cap
+
+
+def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> List[int]:
+    """[coef_0, ..., coef_i] of G_Delta(g), by one forward transfer per
+    label order over the states of the shape walk at free_above=i, with no
+    labelled shape listed.
+
+    Over the labelled shapes L of codegree <= i, coef_k G_Delta(g) sums
+    assignments(L) * ext(L) * coef_{k - codeg(L)} prod [w]^2, where ext(L)
+    counts the reduced linear extensions that keep the floors in label
+    order (marking._count_in_label_order).  Every factor is local to one
+    floor or one gap, so the walk goes up level by level and merges the
+    nodes whose futures agree.  A state after gap j-1 is
+
+      (sources left, sinks left, spent, cycles, components, pending sinks)
+
+    where spent is the placement cost plus the span cost so far, and each
+    component of the floors below j that still has open elevators is a
+    pair of sorted weight tuples: the open elevators already placed in a
+    gap (only those may close) and those still pending.  Free slots are
+    placed elevators of weight i+1, which close on the next floor.  A
+    component with nothing open cannot be joined any more, so its state
+    is dropped.  The edges closed, the elevators opened so far, the
+    weight crossing the gap and the elements placed below floor j all
+    follow from the state.  Each state carries, as a list of ints, the
+    codegree-truncated sum over its paths of the weight below, and its
+    length shrinks as spent uses the budget up.
+
+    The count treats equal copies as distinct and divides once at the
+    end, so every step is an integer.  Floor j, from _floor_moves:
+      - its s sources go into the prefix below it (j floors, the elements
+        placed in gaps below j, the sources below): C(prefix + s, s);
+      - its t sinks take labels among the sinks so far: C(d_t - u + t, t),
+        u the sinks left before it;
+      - closing c' of the p placed copies of a weight in a component takes
+        C(p, c') ways;
+      - opening c equal elevators (free slots counted as equal) after e
+        opened before takes C(e + c, c) ways, the product over a floor's
+        openings being C(e + n, n) n! / prod c!; each opened weight
+        multiplies the sum by the codegree coefficients of [w]^2
+        (1, 2, ..., i+1 for a free slot), and the free slots by their
+        ordered weight assignments.
+    Gap j then places any x of the q pending copies of a weight in a
+    component, and of the pending sinks, in C(q, x) ways, and its k
+    elements (the free slots of floor j among them) in k! orders; the top
+    floor places every sink left in gap a-1.  The total is divided once by
+    (a-1+g)! d_t!, the labellings of the elevators and the sinks, and the
+    division is checked to be exact.  Coefficient k reads the top level:
+    a state of codegree c adds its coefficient k - c.
+    """
+    n_coeffs = i + 1
+    total = [0] * n_coeffs
+    orders = _label_orders(polygon, genus, i)
+    if not orders:
+        return total
+    iota, bound = _search_bound(polygon, genus, i)
+    a, d_b, d_t = polygon.height, polygon.d_b, polygon.d_t
+    slot = i + 1  # the weight of a free slot
+    target_edges = a - 1 + genus
+    fact = [factorial(k) for k in range(target_edges + d_t + 1)]
+    squares = [_square_codegrees(w, n_coeffs) for w in range(slot + 1)]
+    # tables for the whole call: the openings of each (total, least, cap),
+    # the splits of each components tuple, and the gap choices of each
+    # components tuple
+    opening_table: Dict[Tuple[int, int, int], List[Tuple]] = {}
+    split_table: Dict[Tuple, Tuple[int, int, List[Tuple]]] = {}
+    gap_table: Dict[Tuple, List[Tuple[int, int, Tuple]]] = {}
+    serials = itertools.count()  # one number per split and per opening
+    # (free slots, labellings, elevators opened, series) per opening
+    opening_terms: Dict[Tuple[Tuple[int, ...], int], Tuple] = {}
+
+    def openings(out_total: int, least: int, cap: int) -> List[Tuple]:
+        # (serial, weights, free slots, labellings times assignments,
+        # elevators opened, coefficient series or None for 1)
+        found = []
+        for weights, k_free, ways in _openings(out_total, least, cap, i):
+            terms = opening_terms.get((weights, k_free))
+            if terms is None:
+                opened = len(weights) + k_free
+                series = [1] + [0] * i
+                copies = 1
+                for w, group in itertools.groupby(weights + (slot,) * k_free):
+                    c = len(list(group))
+                    copies *= fact[c]
+                    if w > 1:
+                        for _ in range(c):
+                            series = _times(series, squares[w], n_coeffs)
+                terms = opening_terms[weights, k_free] = (
+                    (slot,) * k_free, _exact_quotient(fact[opened], copies), opened,
+                    None if series[0] == 1 and not any(series[1:]) else series)
+            free, labels, opened, series = terms
+            found.append((next(serials), weights, free, ways * labels, opened, series))
+        return found
+
+    def splits(comps: Tuple) -> Tuple[int, int, List[Tuple]]:
+        # the placed elevators, the pending ones, and per split of the
+        # placed ones (weight and number kept open, pending included; ways;
+        # cycles added; untouched components; placed and pending elevators
+        # left to floor j's component; a serial); the free slots all close
+        items = tuple((c, w) for c, (placed, _) in enumerate(comps)
+                      for w in placed if w != slot)
+        free = tuple((c, w) for c, (placed, _) in enumerate(comps)
+                     for w in placed if w == slot)
+        held = [w for _, pending in comps for w in pending]
+        found = []
+        for closed, still_open, kept in _splits(items):
+            ways = 1
+            for item, group in itertools.groupby(closed):
+                ways *= comb(items.count(item), len(list(group)))
+            closed += free
+            joined = {c for c, _ in closed}
+            left: List[List[int]] = [[] for _ in comps]
+            for c, w in still_open:
+                left[c].append(w)
+            others = tuple((tuple(left[c]), comps[c][1])
+                           for c in range(len(comps)) if c not in joined)
+            placed = tuple(sorted(w for c in joined for w in left[c]))
+            pending = tuple(sorted(w for c in joined for w in comps[c][1]))
+            found.append((kept + sum(held), len(still_open) + len(held), ways,
+                          len(closed) - len(joined), others, placed, pending, next(serials)))
+        return len(items) + len(free), len(held), found
+
+    def gap_choices(comps: Tuple) -> List[Tuple[int, int, Tuple]]:
+        # (elements placed, ways, components after) for every choice of the
+        # pending elevators to place; the free slots of the floor below are
+        # placed already
+        per_comp = []
+        for placed, pending in comps:
+            groups = [(w, len(list(g))) for w, g in itertools.groupby(pending)]
+            options = []
+            for xs in itertools.product(*[range(q + 1) for _, q in groups]):
+                ways, now, later = 1, list(placed), []
+                for (w, q), x in zip(groups, xs):
+                    ways *= comb(q, x)
+                    now += [w] * x
+                    later += [w] * (q - x)
+                options.append((sum(xs), ways, (tuple(sorted(now)), tuple(later))))
+            per_comp.append(options)
+        forced = sum(placed.count(slot) for placed, _ in comps)
+        found = []
+        for choice in itertools.product(*per_comp):
+            k, ways = forced, 1
+            for x, w, _ in choice:
+                k += x
+                ways *= w
+            found.append((k, ways, tuple(sorted(comp for _, _, comp in choice))))
+        return found
+
+    for ls, rs in orders:
+        divs, base, most = _walk_tables(polygon, ls, rs, iota)
+        walk = (a, genus, bound, base, divs, most)
+        level: Dict[Tuple, List[int]] = {(d_b, d_t, 0, 0, (), 0): [1] + [0] * i}
+        divs_below = 0
+        for j in range(a - 1):
+            # floor j: sources, sinks, closings and openings
+            after_floor: Dict[Tuple, List[int]] = {}
+            # the components after each (split, opening) of this floor, ()
+            # when floor j is cut off
+            joins: Dict[Tuple[int, int], Tuple] = {}
+            for (src_left, snk_left, spent, cycles, comps, pend), sums in level.items():
+                closed_edges = cycles + j - len(comps)
+                got = split_table.get(comps)
+                if got is None:
+                    got = split_table[comps] = splits(comps)
+                n_placed, n_pending, table = got
+                opened_before = closed_edges + n_placed + n_pending
+                room = target_edges - opened_before
+                in_flow = d_b - src_left - (d_t - snk_left) - divs_below
+                prefix = j + closed_edges + n_placed + d_t - snk_left - pend + d_b - src_left
+                for s, t, here, split, kept, out_total, must_open, cap in _floor_moves(
+                        walk, j, src_left, snk_left, spent, in_flow, room, table):
+                    _, _, ways, new_cycles, others, placed, pending, split_serial = split
+                    new_cycles += cycles
+                    if new_cycles > genus:
+                        continue
+                    key = (out_total, must_open, cap)
+                    opened_list = opening_table.get(key)
+                    if opened_list is None:
+                        opened_list = opening_table[key] = openings(*key)
+                    # the coefficients a state of this spent can still reach
+                    n = n_coeffs - (base + here + kept + (j + 1) * (src_left - s))
+                    head = (src_left - s, snk_left - t, here + kept, new_cycles)
+                    ways *= comb(prefix + s, s) * comb(d_t - snk_left + t, t)
+                    for serial, weights, free, labels, opened, series in opened_list:
+                        new_comps = joins.get((split_serial, serial))
+                        if new_comps is None:
+                            # floor j joins the components it closes from
+                            mine = (placed + free, tuple(sorted(pending + weights)))
+                            new_comps = joins[split_serial, serial] = (
+                                tuple(sorted(others + (mine,))) if mine != ((), ()) else ())
+                        if not new_comps:
+                            continue
+                        scale = ways * labels * comb(opened_before + opened, opened)
+                        part = sums if series is None else _times(sums, series, n)
+                        key = head + (new_comps, pend + t)
+                        got = after_floor.get(key)
+                        if got is None:
+                            after_floor[key] = [scale * v for v in part[:n]]
+                        else:
+                            for k in range(n):
+                                got[k] += scale * part[k]
+            # gap j: place pending elevators and sinks
+            level = {}
+            for (src_left, snk_left, spent, cycles, comps, pend), sums in after_floor.items():
+                choices = gap_table.get(comps)
+                if choices is None:
+                    choices = gap_table[comps] = gap_choices(comps)
+                n = len(sums)
+                for k, ways, new_comps in choices:
+                    for x in range(pend + 1):
+                        scale = ways * comb(pend, x) * fact[k + x]
+                        key = (src_left, snk_left, spent, cycles, new_comps, pend - x)
+                        got = level.get(key)
+                        if got is None:
+                            level[key] = [scale * v for v in sums]
+                        else:
+                            for e in range(n):
+                                got[e] += scale * sums[e]
+            divs_below += divs[j]
+        # the top floor takes the sources and sinks left and closes every
+        # open elevator, each placed already; gap a-1 takes every sink left
+        j = a - 1
+        for (src_left, snk_left, spent, cycles, comps, pend), sums in level.items():
+            codeg = base + spent + j * src_left
+            if codeg > bound or any(pending for _, pending in comps):
+                continue
+            closed_edges = cycles + j - len(comps)
+            n_placed = sum(len(placed) for placed, _ in comps)
+            prefix = j + closed_edges + n_placed + d_t - snk_left - pend + d_b - src_left
+            scale = (comb(prefix + src_left, src_left) * comb(d_t, snk_left)
+                     * fact[pend + snk_left])
+            for k in range(codeg, n_coeffs):
+                total[k] += scale * sums[k - codeg]
+    labellings = fact[target_edges] * fact[d_t]
+    return [_exact_quotient(v, labellings) for v in total]

@@ -19,15 +19,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .coeff import coeff_product_of_squares
-from .diagram import codegree_coefficient_sum, enumerate_floor_diagrams, mult
+from .diagram import codegree_coefficients, enumerate_floor_diagrams, mult
 from .laurent import LaurentPoly
 from .marking import (
     Pairing,
     all_pairings,
     canonical_pairing,
     count_markings,
-    count_reduced_extensions,
     descendant_sum,
     enumerate_markings,
     make_pairing,
@@ -190,24 +188,24 @@ def descendant_codegree_coeff(polygon: HTransversePolygon, s: int, i: int) -> in
 
 def invariant_codegree_coeff(
     polygon: HTransversePolygon, genus: int, i: int) -> int:
-    """coef_i G_Delta(g) as a sum over labelled shapes.
+    """coef_i G_Delta(g), by the forward transfer over the states of the
+    shape walk (diagram.codegree_coefficients), with no labelled shape
+    listed.
 
     Relabelling each marked class by the order its marking gives the floors
     turns the sum over classes into a sum over labelled diagrams L of
     mult(L) times the reduced linear extensions of L that keep the floors
     in label order (the labelled floor diagrams of Fomin-Mikhalkin).
-    Diagrams are grouped into shapes by their small-weight pattern; within
-    a shape both that extension count and the codegree-(i - codeg)
-    coefficient of prod [w]^2 (the composition-sum shortcut) are constant,
-    so each labelled shape contributes assignments * extensions *
-    coefficient in one step, with no canonical forms or automorphisms.
+    Diagrams are grouped into shapes by their small-weight pattern (heavy
+    short elevators left as free slots).  Every factor of a shape's term is
+    local to one floor or one gap: the source binomials, the gap
+    factorials, the codegree coefficients of each [w]^2 (1, 2, ..., i+1 for
+    a free slot) and the ordered assignments of the free weights.  So the
+    transfer carries their codegree-truncated sums through the walk states,
+    treating equal elevators and sinks as distinct copies and dividing once
+    at the end, and needs no canonical forms or automorphisms.
     """
-    def shape_term(pseudo, codeg):
-        weights = [w for _, _, w in pseudo.elevators]
-        return (count_reduced_extensions(pseudo, in_label_order=True)
-                * coeff_product_of_squares(i - codeg, weights))
-
-    return codegree_coefficient_sum(polygon, genus, i, shape_term)
+    return codegree_coefficients(polygon, genus, i)[i]
 
 
 # -- verification reports -----------------------------------------------------

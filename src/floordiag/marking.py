@@ -60,10 +60,9 @@ it takes all of deadline j and any number x_d of the p_d of each later
 deadline d, in C(p_d, x_d) ways, and the gap's elements order in
 (f_j + sum x)! ways, f_j its forced elements.  Forced elements never
 enter the table, so a gap with nothing pending and nothing new only
-multiplies by f_j!.  The labelled shapes of the codegree path are nearly
-layered (most elevators are short, and about half of the shapes have no
-flexible element), so the walk mostly carries one weight, where a
-downset DP would visit every ordering of each gap.
+multiplies by f_j!.  The codegree path carries the same factors up the
+floor walk's states (diagram.codegree_coefficients) and lists no shape;
+this count, summed over the labelled shapes, is the tests' oracle for it.
 """
 
 from __future__ import annotations

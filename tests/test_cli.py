@@ -221,6 +221,16 @@ def test_fit_negative_codegree_is_usage_error(capsys):
         assert "error" in err
 
 
+def test_fit_genus_one_passes(capsys, monkeypatch):
+    # the smallest box on which coef_1 of genus 1 fits with a check point per
+    # axis: degrees 3, 2, 2 in a, b, n need 5, 4 and 4 points
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    code, out, _ = run(capsys, "fit", "--i", "1", "--genus", "1",
+                       "--grid", "a=4..8,b=2..5,n=1..4")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_fit_grid_missing_variable_is_usage_error(capsys):
     code, _, err = run(capsys, "fit", "--i", "1", "--genus", "1",
                        "--grid", "a=4..8,b=2..5")

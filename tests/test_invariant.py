@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import warnings
 from fractions import Fraction
@@ -9,8 +10,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from floordiag import diagram, invariant, marking
-from floordiag.diagram import enumerate_floor_diagrams
+from floordiag import cli, coeff, diagram, invariant, marking
+from floordiag.coeff import coeff_product_of_squares
+from floordiag.diagram import (
+    codegree_coefficient_sum,
+    codegree_coefficients,
+    enumerate_floor_diagrams,
+)
 from floordiag.invariant import (
     _cache_path,
     clear_cache,
@@ -23,10 +29,11 @@ from floordiag.invariant import (
     verify_pairing_independence,
     verify_recursion,
 )
-from floordiag.laurent import LaurentPoly
+from floordiag.laurent import EngineError, LaurentPoly
 from floordiag.marking import (
     all_pairings,
     canonical_pairing,
+    count_reduced_extensions,
     enumerate_markings,
     make_pairing,
     mu_S,
@@ -258,6 +265,74 @@ def test_codegree_coeff_needs_no_classes(monkeypatch):
         top = lattice_stats(poly).interior - g
         for i in range(3):
             assert invariant_codegree_coeff(poly, g, i) == full.coeff2(2 * (top - i))
+
+
+def labelled_shape_sum(polygon, genus, i):
+    """coef_i G_Delta(g) as the sum over the labelled shapes of codegree <= i
+    of assignments * label-order extensions * coef_{i - codeg} prod [w]^2:
+    the listing that the transfer replaced, kept as its oracle."""
+    def shape_term(shape, codeg):
+        weights = [w for _, _, w in shape.elevators]
+        return (count_reduced_extensions(shape, in_label_order=True)
+                * coeff_product_of_squares(i - codeg, weights))
+
+    return codegree_coefficient_sum(polygon, genus, i, shape_term)
+
+
+def assert_transfer_matches_labelled_shapes(polygon, genus, i):
+    assert codegree_coefficients(polygon, genus, i) == [
+        labelled_shape_sum(polygon, genus, k) for k in range(i + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_polygons())
+def test_codegree_transfer_matches_labelled_shapes(polygon):
+    # every coefficient k <= i in every genus, the lower half included:
+    # i = 2(iota - g) + 1 is one below the bottom exponent
+    iota = lattice_stats(polygon).interior
+    for g in range(iota + 1):
+        assert_transfer_matches_labelled_shapes(polygon, g, 2 * (iota - g) + 1)
+
+
+@pytest.mark.parametrize("abn", [(8, 3, 2), (12, 3, 3)])
+def test_codegree_transfer_matches_labelled_shapes_with_free_slots(abn):
+    # free slots, and sinks below the top floor, on both walks
+    polygon = make_delta_abn(*abn)
+    shapes = list(diagram._labelled(polygon, 2, 2, free_above=2))
+    assert any(w == 3 for d, _, _ in shapes for _, _, w in d.elevators)
+    assert any(t for d, _, _ in shapes for _, _, _, t in d.floors[:-1])
+    assert_transfer_matches_labelled_shapes(polygon, 2, 2)
+
+
+def test_codegree_coeff_lists_no_shape(monkeypatch):
+    # the transfer walks states: no walk listing shapes, no extension count
+    # of a shape and no coefficient of a shape's product of squares
+    mixed = parse_polygon("ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1")
+    cases = [(make_delta_abn(4, 2, 1), 1), (make_delta_abn(8, 3, 2), 2), (mixed, 0)]
+    expected = [[labelled_shape_sum(poly, g, i) for i in range(3)] for poly, g in cases]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a labelled shape was listed on the codegree path")
+
+    for module in (diagram, marking, coeff, invariant):
+        for name in ("run_enumeration_task", "count_reduced_extensions",
+                     "coeff_product_of_squares", "codegree_coefficient_sum"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fail)
+    for (poly, g), values in zip(cases, expected):
+        assert [invariant_codegree_coeff(poly, g, i) for i in range(3)] == values
+
+
+def test_inexact_codegree_transfer_is_an_engine_fault(monkeypatch, capsys):
+    # with each factorial one too large, the labellings no longer divide
+    # the total: the transfer raises, and the CLI reports an engine fault
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    monkeypatch.setattr(diagram, "factorial", lambda k: math.factorial(k) + 1)
+    with pytest.raises(EngineError):
+        invariant_codegree_coeff(make_delta_abn(4, 2, 1), 1, 1)
+    code = cli.main(["fit", "--i", "1", "--genus", "1", "--grid", "a=4..8,b=2..5,n=1..4"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("engine fault: ")
 
 
 @pytest.mark.parametrize("literal", ["abn:4,0,1", "abn:3,1,1", "abn:3,2,1"])
