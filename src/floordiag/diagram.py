@@ -9,34 +9,25 @@ per-floor counts.
 Enumeration walks the floors bottom to top for each order of the l and r
 labels, placing each floor's sources and sinks and tracking the multiset
 of open elevators; it yields every labelled diagram once.  One walk serves
-labelled diagrams and diagram shapes (heavy short elevators left free).
-The walk spends its edge budget exactly: a floor opens at least the
-elevators that the floors above it cannot, so the floor below the top
-opens all that are left.  Free slots close with the split of the open
-elevators, and the openings alone decide how many elevators a floor
-opens, none included; each walk lists splits and openings once, in
-tables that die with it.  enumerate_floor_diagrams keeps, of each class,
-the one labelling that is its own canonical form, and maps it to its
-number of floor automorphisms: one search along the labelling's own
-floor sequence (automorphism_count) rejects the other labellings and
-counts the automorphisms of that one, so it builds no canonical forms
-and no automorphism groups.  canonical_form (the least relabelling) and
-vertex_automorphisms (those that give back the diagram) read every
-topological floor order that linear_extensions lists; a layered diagram
-has one, so it is its own canonical form.
+labelled diagrams and diagram shapes (heavy short elevators left as free
+slots, which ride the walk as open elevators of one weight).  The moves
+of a floor and their cuts are stated once, in _placements, which the
+walk and codegree_coefficients both read.  enumerate_floor_diagrams
+keeps, of each class, the one labelling that is its own canonical form,
+and maps it to its number of floor automorphisms: one search along the
+labelling's own floor sequence (automorphism_count) rejects the other
+labellings and counts the automorphisms of that one, so it builds no
+canonical forms and no automorphism groups.  canonical_form (the least
+relabelling) and vertex_automorphisms (those that give back the diagram)
+read every topological floor order that linear_extensions lists; a
+layered diagram has one, so it is its own canonical form.
 
-codegree_coefficients lists no diagram at all.  It takes the walk's
-moves floor by floor (_floor_moves, with the walk's cuts and edge budget,
-_walk_tables) but keeps, per label order, one level of states: the sources and sinks left, the cost spent,
-the cycles, the components with open elevators (each a tuple of the
-weights already placed in a gap and a tuple of those still pending) and
-the pending sinks.  Each state carries the codegree-truncated sum over
-its paths of the source binomials, gap factorials, [w]^2 coefficients
-and free-slot assignments, every factor local to one floor or one gap.
-Equal elevators and sinks count as distinct copies, and one exact
-division by the labellings of the copies ends the sum.
-codegree_coefficient_sum, the sum over the labelled shapes that the walk
-lists, serves the tests as its oracle.
+codegree_coefficients lists no diagram at all.  It keeps, per label
+order, one level of walk states, each carrying the codegree-truncated
+sum over its paths of the factors of a labelled shape, every factor
+local to one floor or one gap.  codegree_coefficient_sum, the sum
+over the labelled shapes that the walk lists, serves the tests as its
+oracle.
 
 The key accounting identity,
 with iota the interior lattice count and E0 the internal elevator set:
@@ -425,20 +416,67 @@ def _search_bound(
 
 
 def _walk_tables(
-    polygon: HTransversePolygon, ls: Sequence[int], rs: Sequence[int], iota: int
-) -> Tuple[List[int], int, List[List[int]]]:
-    """(divs, base, most) for the label order (ls, rs): the divergence
-    r - l of each floor, _base_codegree, and the edge budget most[j][u],
-    the most elevators floors j+1..a-2 can open when u sinks are left for
-    them.  The weight crossing gap k is at most d_b - (d_t - u) - sums[k+1]
-    (every source below it and no further sink), and every elevator, free
-    slots included, carries weight >= 1."""
+    polygon: HTransversePolygon, bound: int, iota: int, ls: Sequence[int], rs: Sequence[int]
+) -> Tuple:
+    """The walk tuple (a, bound, base, divs, most, in_flows) that
+    _placements reads for the label order (ls, rs): the divergence r - l
+    of each floor, _base_codegree, the edge budget most[j][u], the most
+    elevators floors j+1..a-2 can open when u sinks are left for them, and
+    in_flows[j], the weight entering floor j with every source and no sink
+    below it.  The weight crossing gap k is at most d_b - (d_t - u) -
+    sums[k+1] (every source below it and no further sink), and every
+    elevator, free slots included, carries weight >= 1."""
     a = polygon.height
     divs = [r - l for l, r in zip(ls, rs)]
     sums = list(itertools.accumulate(divs, initial=0))
     most = [[sum(max(0, polygon.d_b - polygon.d_t + u - x) for x in sums[j + 2:a])
              for u in range(polygon.d_t + 1)] for j in range(a)]
-    return divs, _base_codegree(polygon, ls, rs, iota), most
+    in_flows = [polygon.d_b - polygon.d_t - x for x in sums]
+    return a, bound, _base_codegree(polygon, ls, rs, iota), divs, most, in_flows
+
+
+def _placements(
+    walk: Tuple, j: int, src_left: int, snk_left: int, spent: int, room: int,
+) -> List[Tuple[int, int, int, int, int, int]]:
+    """The placements of floor j < a-1 that the cuts keep, as (s, t, here,
+    flow, least, must_open): s sources and t sinks on floor j, here the
+    cost spent with theirs added, flow the weight leaving floor j, least
+    the least codegree of a completion, and must_open the fewest
+    elevators floor j may open.  walk is _walk_tables; spent is the
+    placement and span cost below floor j, and room the edges still to
+    open.  Both walks read these placements, and each then cuts its
+    splits of the open elevators alike: a split that keeps weight `kept`
+    open in c elevators needs flow >= kept and least + kept <= bound, and
+    floor j opens flow - kept in at most min(room, 1 + genus + bound -
+    least - c) elevators.
+
+    The cuts, stated here once for both walks:
+      - the weight entering floor j follows from the sources and sinks
+        left, and the weight crossing gap j, flow, must be >= 1: a gap
+        nothing crosses disconnects the diagram;
+      - a source on floor m costs m and a sink on floor m costs a-1-m on
+        top of _base_codegree, and an elevator kept open across a gap
+        adds its weight; the least codegree, with every source left over
+        placed on floor j+1, must stay within the bound;
+      - the a-1+genus edges are budgeted exactly: floors j+1..a-2 open at
+        most most[j][sinks left], so floor j opens at least the rest, and
+        floor a-2 opens exactly the edges left;
+      - a gap crossed by c elevators forces c-1 units of genus or span
+        surplus, so c is capped by 1 + genus + the span allowance.
+    """
+    a, bound, base, divs, most, in_flows = walk
+    in_flow = in_flows[j] - src_left + snk_left
+    div = divs[j]
+    slack = bound - base - spent - (j + 1) * src_left
+    found = []
+    for s in range(max(0, div + 1 - in_flow, -slack), src_left + 1):
+        t_max = min(snk_left, in_flow + s - div - 1, (slack + s) // (a - 1 - j))
+        for t in range(t_max + 1):
+            here = spent + j * s + (a - 1 - j) * t
+            found.append((s, t, here, in_flow + s - t - div,
+                          base + here + (j + 1) * (src_left - s),
+                          max(room - most[j][snk_left - t], 0)))
+    return found
 
 
 def run_enumeration_task(
@@ -452,41 +490,29 @@ def run_enumeration_task(
     """Labelled diagrams whose floor j has l label ls[j] and r label rs[j],
     as (diagram, assignments, codegree).
 
-    One walk up the floors places each floor's sources and sinks, closes
-    open elevators there and opens new ones.  A source on floor m costs m
-    and a sink on floor m costs a-1-m on top of _base_codegree; a source
-    not yet placed costs at least the next floor, which bounds the search
-    before the placement is complete.  A gap that nothing crosses, and
-    closed elevators with more independent cycles than the genus, are cut
-    where they appear; the top floor must join every component left.
-
-    The a-1+genus edges are budgeted exactly.  Of the `room` edges still
-    to open when floor j is reached, a floor k in j+1..a-2 can open at
-    most the weight crossing gap k (every elevator, free slots included,
-    carries weight >= 1), and that weight is at most d_b minus the sinks
-    on floors 0..j minus divs[0..k].  Floor j opens at least the rest,
-    and a branch that cannot is cut; on floor a-2 nothing is left to the
-    floors above, so it opens exactly the edges left and the top floor
-    needs no edge count.
-
-    Tables local to the call list, once each, the splits of every tuple
-    of open elevators and the openings of every (floor, total, least, cap)
-    (free_above is fixed for the walk).  The free slots all close at the
-    next floor, so each split closes them along with its closed part.
-    _openings alone decides how many elevators a floor opens, none
-    included; a split it gives no opening is cut.
+    One walk up the floors places each floor's sources and sinks
+    (_placements, with its cuts), closes open elevators there and opens
+    new ones; closed elevators with more independent cycles than the
+    genus are cut where they appear, and the top floor must join every
+    component left.  Tables local to the call list, once each, the
+    placements of every (floor, sources left, sinks left, cost, room), the
+    splits of every tuple of open elevators and the openings of every
+    (floor, total, least, cap); _openings alone decides how many elevators
+    a floor opens, none included, and a split it gives no opening is cut.
 
     With free_above=None every weight is explicit and assignments is 1.
     With free_above=i (and max_codeg=i) the diagrams are shapes: elevators
     heavier than i become free slots of weight i+1, and assignments counts
-    the ordered weight assignments of the free slots.  Such an elevator is
-    always short (a longer span would already cost more than i), and every
-    weight above i gives the same codegree-i term, so every diagram of
-    codegree <= i belongs to exactly one shape.
+    the ordered weight assignments of the free slots.  A free slot is an
+    open elevator like any other, and it is always short: kept open, its
+    weight i+1 would exceed the codegree bound.  Every weight above i gives
+    the same codegree-i term, so every diagram of codegree <= i belongs to
+    exactly one shape.
     """
     iota, bound = _search_bound(polygon, genus, max_codeg)
     a = polygon.height
-    divs, base, most = _walk_tables(polygon, ls, rs, iota)
+    walk = _walk_tables(polygon, bound, iota, ls, rs)
+    base = walk[2]
     target_edges = a - 1 + genus
     found: List[Tuple[FloorDiagram, int, int]] = []
 
@@ -494,97 +520,78 @@ def run_enumeration_task(
     slot = None if free_above is None else free_above + 1  # free-slot weight
     # one copy of each floor list and elevator, shared by the diagrams found
     shared: Dict[Tuple, Tuple] = {}
+    # the placements of each (floor, sources left, sinks left, cost, room),
     # the splits of each tuple of open elevators, and the openings of each
-    # (floor, total, least, cap) as the (floor, weight) pairs opened and the
-    # free slots, listed on first use and read by every later node
+    # (floor, total, least, cap) as the (floor, weight) pairs opened, listed
+    # on first use and read by every later node
+    placement_table: Dict[Tuple[int, int, int, int, int], List[Tuple]] = {}
     split_table: Dict[Tuple, List[Tuple[Tuple, Tuple, int]]] = {}
-    opening_table: Dict[Tuple[int, int, int, int], List[Tuple[Tuple, Tuple, int]]] = {}
+    opening_table: Dict[Tuple[int, int, int, int], List[Tuple[Tuple, int]]] = {}
 
-    def rec(j, src_left, snk_left, placed, in_flow, open_edges, free,
-            edges, comp, cycles, span_cost, assign):
-        # open_edges: sorted (origin, weight) pairs crossing gap j-1; free:
-        # the free slots, (j-1, free_above+1) pairs that all close at floor
-        # j; in_flow is the weight of both.  placed: the placement cost of
-        # the sources and sinks below floor j.  comp labels the connected
+    def rec(j, src_left, snk_left, spent, open_edges, edges, comp, cycles, assign):
+        # open_edges: sorted (origin, weight) pairs crossing gap j-1, free
+        # slots among them; spent: the placement cost of the sources and
+        # sinks below floor j plus the span cost.  comp labels the connected
         # component of each floor below j under the closed elevators
         # `edges`, which hold `cycles` independent cycles
         if j == a - 1:
             # the top floor takes the sources and sinks left, and every open
             # elevator closes there and must join every component; floor a-2
             # opened exactly the edges left, so the edge count is met
-            codeg = base + placed + j * src_left + span_cost
-            closing = open_edges + free
-            joined = {comp[o] for o, _ in closing}
+            codeg = base + spent + j * src_left
+            joined = {comp[o] for o, _ in open_edges}
             if codeg > bound or len(joined) < len(set(comp)):
                 return
             srcs[j], snks[j] = src_left, snk_left
             floors = tuple(zip(ls, rs, srcs, snks))
-            elevators = tuple(shared.setdefault(e, e) for e in edges + [(o, j, w) for o, w in closing])
+            elevators = tuple(shared.setdefault(e, e)
+                              for e in edges + [(o, j, w) for o, w in open_edges])
             diagram = FloorDiagram(shared.setdefault(floors, floors), elevators)
             found.append((diagram, assign, codeg))
             return
         # room only falls by openings, and cap below keeps it nonnegative
-        room = target_edges - len(edges) - len(free) - len(open_edges)
+        room = target_edges - len(edges) - len(open_edges)
+        key = (j, src_left, snk_left, spent, room)
+        placements = placement_table.get(key)
+        if placements is None:
+            placements = placement_table[key] = _placements(walk, *key)
         splits = split_table.get(open_edges)
         if splits is None:
             splits = split_table[open_edges] = _splits(open_edges)
-        # s sources and t sinks here: the weight crossing gap j is
-        # in_flow + s - t - divs[j], which must be >= 1 (a gap nothing crosses
-        # disconnects the diagram), and the least codegree, with every source
-        # left over placed on floor j+1, must stay within the bound
-        slack = bound - base - placed - span_cost - (j + 1) * src_left
-        for s in range(max(0, divs[j] + 1 - in_flow, -slack), src_left + 1):
-            t_max = min(snk_left, in_flow + s - divs[j] - 1, (slack + s) // (a - 1 - j))
-            for t in range(t_max + 1):
-                srcs[j], snks[j] = s, t
-                here = placed + j * s + (a - 1 - j) * t
-                flow = in_flow + s - t - divs[j]
-                least = base + here + (j + 1) * (src_left - s)
-                # floors j+1..a-2 open at most most[j][sinks left], so floor j
-                # opens at least must_open
-                must_open = max(room - most[j][snk_left - t], 0)
-                for closed, still_open, kept in splits:
-                    # an elevator kept open crosses gap j: its weight adds to
-                    # the span cost and is not left to open here
-                    out_total = flow - kept
-                    if out_total < 0:
-                        continue
-                    cost = span_cost + kept
-                    if least + cost > bound:
-                        continue
-                    # a gap crossed by c elevators forces c-1 units of genus or
-                    # span surplus, so c is capped by 1 + genus + the span allowance
-                    cap = min(room, 1 + genus + bound - least - len(still_open))
-                    key = (j, out_total, must_open, cap)
-                    openings = opening_table.get(key)
-                    if openings is None:
-                        openings = opening_table[key] = [
-                            (tuple((j, w) for w in weights), ((j, slot),) * k_free, ways)
-                            for weights, k_free, ways
-                            in _openings(out_total, must_open, cap, free_above)]
-                    # _openings alone decides what floor j can open, none included
-                    if not openings:
-                        continue
-                    # every split closes the free slots with its closed elevators
-                    closed += free
-                    # a subgraph has no more independent cycles than the diagram
-                    joined = {comp[o] for o, _ in closed}
-                    new_cycles = cycles + len(closed) - len(joined)
-                    if new_cycles > genus:
-                        continue
-                    # floor j joins the components it closes elevators from
-                    label = min(joined, default=j)
-                    if len(joined) > 1:
-                        new_comp = tuple(label if c in joined else c for c in comp) + (label,)
-                    else:
-                        new_comp = comp + (label,)
-                    new_edges = edges + [(o, j, w) for o, w in closed]
-                    for opened, new_free, ways in openings:
-                        # origins below j, then nondecreasing weights: sorted
-                        rec(j + 1, src_left - s, snk_left - t, here, flow, still_open + opened,
-                            new_free, new_edges, new_comp, new_cycles, cost, assign * ways)
+        for s, t, here, flow, least, must_open in placements:
+            srcs[j], snks[j] = s, t
+            for closed, still_open, kept in splits:
+                out_total = flow - kept
+                if out_total < 0 or least + kept > bound:
+                    continue
+                cap = min(room, 1 + genus + bound - least - len(still_open))
+                key = (j, out_total, must_open, cap)
+                openings = opening_table.get(key)
+                if openings is None:
+                    openings = opening_table[key] = [
+                        (tuple((j, w) for w in weights) + ((j, slot),) * k_free, ways)
+                        for weights, k_free, ways
+                        in _openings(out_total, must_open, cap, free_above)]
+                if not openings:
+                    continue
+                # a subgraph has no more independent cycles than the diagram
+                joined = {comp[o] for o, _ in closed}
+                new_cycles = cycles + len(closed) - len(joined)
+                if new_cycles > genus:
+                    continue
+                # floor j joins the components it closes elevators from
+                label = min(joined, default=j)
+                if len(joined) > 1:
+                    new_comp = tuple(label if c in joined else c for c in comp) + (label,)
+                else:
+                    new_comp = comp + (label,)
+                new_edges = edges + [(o, j, w) for o, w in closed]
+                for opened, ways in openings:
+                    # origins below j, then nondecreasing weights: sorted
+                    rec(j + 1, src_left - s, snk_left - t, here + kept, still_open + opened,
+                        new_edges, new_comp, new_cycles, assign * ways)
 
-    rec(0, polygon.d_b, polygon.d_t, 0, 0, (), (), [], (), 0, 0, 1)
+    rec(0, polygon.d_b, polygon.d_t, 0, (), [], (), 0, 1)
     return found
 
 
@@ -689,63 +696,19 @@ def _exact_quotient(num: int, den: int) -> int:
     return q
 
 
-def _floor_moves(
-    walk: Tuple, j: int, src_left: int, snk_left: int, spent: int, in_flow: int,
-    room: int, splits: Sequence[Tuple],
-) -> Iterator[Tuple]:
-    """The moves of floor j < a-1 in codegree_coefficients, as (s, t, here,
-    split, kept, out_total, must_open, cap): s sources and t sinks, a split
-    of the placed elevators, and out_total to open on floor j, between
-    must_open and cap elevators.  These are the cuts that
-    run_enumeration_task makes inline (there a generator per node measured
-    slower on the class path).
-
-    walk is (a, genus, bound, base, divs, most); spent is the placement
-    and span cost so far, and here adds the placement of floor j.  Each
-    split starts with the weight and the number of the elevators it keeps
-    open.
-
-    s sources and t sinks here make the weight crossing gap j in_flow + s
-    - t - divs[j], which must be >= 1 (a gap nothing crosses disconnects
-    the diagram), and the least codegree, with every source left over
-    placed on floor j+1 and the weight kept open added to the span cost,
-    must stay within the bound.  Floors j+1..a-2 open at most
-    most[j][sinks left], so floor j opens at least must_open; a gap crossed
-    by c elevators forces c-1 units of genus or span surplus, so c is
-    capped by 1 + genus + the span allowance.
-    """
-    a, genus, bound, base, divs, most = walk
-    div = divs[j]
-    slack = bound - base - spent - (j + 1) * src_left
-    for s in range(max(0, div + 1 - in_flow, -slack), src_left + 1):
-        t_max = min(snk_left, in_flow + s - div - 1, (slack + s) // (a - 1 - j))
-        for t in range(t_max + 1):
-            here = spent + j * s + (a - 1 - j) * t
-            flow = in_flow + s - t - div
-            least = base + here + (j + 1) * (src_left - s)
-            must_open = max(room - most[j][snk_left - t], 0)
-            for split in splits:
-                # an elevator kept open crosses gap j: its weight adds to the
-                # span cost and is not left to open here
-                kept = split[0]
-                out_total = flow - kept
-                if out_total < 0 or least + kept > bound:
-                    continue
-                cap = min(room, 1 + genus + bound - least - split[1])
-                yield s, t, here, split, kept, out_total, must_open, cap
-
-
 def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> List[int]:
     """[coef_0, ..., coef_i] of G_Delta(g), by one forward transfer per
     label order over the states of the shape walk at free_above=i, with no
-    labelled shape listed.
+    labelled shape listed.  Past 2(iota - g), the bottom exponent, every
+    coefficient is 0, so the transfer runs at most to 2(iota - g) + 1.
 
     Over the labelled shapes L of codegree <= i, coef_k G_Delta(g) sums
     assignments(L) * ext(L) * coef_{k - codeg(L)} prod [w]^2, where ext(L)
     counts the reduced linear extensions that keep the floors in label
-    order (marking._count_in_label_order).  Every factor is local to one
-    floor or one gap, so the walk goes up level by level and merges the
-    nodes whose futures agree.  A state after gap j-1 is
+    order (marking.count_in_label_order).  Every factor is local to one
+    floor or one gap, so the walk goes up level by level, with the
+    placements and cuts of _placements, and merges the nodes whose futures
+    agree.  A state after gap j-1 is
 
       (sources left, sinks left, spent, cycles, components, pending sinks)
 
@@ -762,7 +725,7 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
     length shrinks as spent uses the budget up.
 
     The count treats equal copies as distinct and divides once at the
-    end, so every step is an integer.  Floor j, from _floor_moves:
+    end, so every step is an integer.  Floor j:
       - its s sources go into the prefix below it (j floors, the elements
         placed in gaps below j, the sources below): C(prefix + s, s);
       - its t sinks take labels among the sinks so far: C(d_t - u + t, t),
@@ -789,6 +752,9 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
     if not orders:
         return total
     iota, bound = _search_bound(polygon, genus, i)
+    last = 2 * (iota - genus) + 1
+    if i > last:
+        return codegree_coefficients(polygon, genus, last) + [0] * (i - last)
     a, d_b, d_t = polygon.height, polygon.d_b, polygon.d_t
     slot = i + 1  # the weight of a free slot
     target_edges = a - 1 + genus
@@ -800,13 +766,12 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
     opening_table: Dict[Tuple[int, int, int], List[Tuple]] = {}
     split_table: Dict[Tuple, Tuple[int, int, List[Tuple]]] = {}
     gap_table: Dict[Tuple, List[Tuple[int, int, Tuple]]] = {}
-    serials = itertools.count()  # one number per split and per opening
     # (free slots, labellings, elevators opened, series) per opening
     opening_terms: Dict[Tuple[Tuple[int, ...], int], Tuple] = {}
 
     def openings(out_total: int, least: int, cap: int) -> List[Tuple]:
-        # (serial, weights, free slots, labellings times assignments,
-        # elevators opened, coefficient series or None for 1)
+        # (weights, free slots, labellings times assignments, elevators
+        # opened, coefficient series or None for 1)
         found = []
         for weights, k_free, ways in _openings(out_total, least, cap, i):
             terms = opening_terms.get((weights, k_free))
@@ -824,14 +789,14 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
                     (slot,) * k_free, _exact_quotient(fact[opened], copies), opened,
                     None if series[0] == 1 and not any(series[1:]) else series)
             free, labels, opened, series = terms
-            found.append((next(serials), weights, free, ways * labels, opened, series))
+            found.append((weights, free, ways * labels, opened, series))
         return found
 
     def splits(comps: Tuple) -> Tuple[int, int, List[Tuple]]:
         # the placed elevators, the pending ones, and per split of the
         # placed ones (weight and number kept open, pending included; ways;
         # cycles added; untouched components; placed and pending elevators
-        # left to floor j's component; a serial); the free slots all close
+        # left to floor j's component); the free slots all close
         items = tuple((c, w) for c, (placed, _) in enumerate(comps)
                       for w in placed if w != slot)
         free = tuple((c, w) for c, (placed, _) in enumerate(comps)
@@ -852,7 +817,7 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
             placed = tuple(sorted(w for c in joined for w in left[c]))
             pending = tuple(sorted(w for c in joined for w in comps[c][1]))
             found.append((kept + sum(held), len(still_open) + len(held), ways,
-                          len(closed) - len(joined), others, placed, pending, next(serials)))
+                          len(closed) - len(joined), others, placed, pending))
         return len(items) + len(free), len(held), found
 
     def gap_choices(comps: Tuple) -> List[Tuple[int, int, Tuple]]:
@@ -882,16 +847,11 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
         return found
 
     for ls, rs in orders:
-        divs, base, most = _walk_tables(polygon, ls, rs, iota)
-        walk = (a, genus, bound, base, divs, most)
+        walk = _walk_tables(polygon, bound, iota, ls, rs)
         level: Dict[Tuple, List[int]] = {(d_b, d_t, 0, 0, (), 0): [1] + [0] * i}
-        divs_below = 0
         for j in range(a - 1):
             # floor j: sources, sinks, closings and openings
             after_floor: Dict[Tuple, List[int]] = {}
-            # the components after each (split, opening) of this floor, ()
-            # when floor j is cut off
-            joins: Dict[Tuple[int, int], Tuple] = {}
             for (src_left, snk_left, spent, cycles, comps, pend), sums in level.items():
                 closed_edges = cycles + j - len(comps)
                 got = split_table.get(comps)
@@ -900,40 +860,40 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
                 n_placed, n_pending, table = got
                 opened_before = closed_edges + n_placed + n_pending
                 room = target_edges - opened_before
-                in_flow = d_b - src_left - (d_t - snk_left) - divs_below
                 prefix = j + closed_edges + n_placed + d_t - snk_left - pend + d_b - src_left
-                for s, t, here, split, kept, out_total, must_open, cap in _floor_moves(
-                        walk, j, src_left, snk_left, spent, in_flow, room, table):
-                    _, _, ways, new_cycles, others, placed, pending, split_serial = split
-                    new_cycles += cycles
-                    if new_cycles > genus:
-                        continue
-                    key = (out_total, must_open, cap)
-                    opened_list = opening_table.get(key)
-                    if opened_list is None:
-                        opened_list = opening_table[key] = openings(*key)
-                    # the coefficients a state of this spent can still reach
-                    n = n_coeffs - (base + here + kept + (j + 1) * (src_left - s))
-                    head = (src_left - s, snk_left - t, here + kept, new_cycles)
-                    ways *= comb(prefix + s, s) * comb(d_t - snk_left + t, t)
-                    for serial, weights, free, labels, opened, series in opened_list:
-                        new_comps = joins.get((split_serial, serial))
-                        if new_comps is None:
-                            # floor j joins the components it closes from
-                            mine = (placed + free, tuple(sorted(pending + weights)))
-                            new_comps = joins[split_serial, serial] = (
-                                tuple(sorted(others + (mine,))) if mine != ((), ()) else ())
-                        if not new_comps:
+                for s, t, here, flow, least, must_open in _placements(
+                        walk, j, src_left, snk_left, spent, room):
+                    placing = comb(prefix + s, s) * comb(d_t - snk_left + t, t)
+                    for kept, n_kept, ways, new_cycles, others, placed, pending in table:
+                        out_total = flow - kept
+                        if out_total < 0 or least + kept > bound:
                             continue
-                        scale = ways * labels * comb(opened_before + opened, opened)
-                        part = sums if series is None else _times(sums, series, n)
-                        key = head + (new_comps, pend + t)
-                        got = after_floor.get(key)
-                        if got is None:
-                            after_floor[key] = [scale * v for v in part[:n]]
-                        else:
-                            for k in range(n):
-                                got[k] += scale * part[k]
+                        new_cycles += cycles
+                        if new_cycles > genus:
+                            continue
+                        key = (out_total, must_open, min(room, 1 + genus + bound - least - n_kept))
+                        opened_list = opening_table.get(key)
+                        if opened_list is None:
+                            opened_list = opening_table[key] = openings(*key)
+                        # the coefficients a state of this spent can still reach
+                        n = n_coeffs - (least + kept)
+                        head = (src_left - s, snk_left - t, here + kept, new_cycles)
+                        ways *= placing
+                        for weights, free, labels, opened, series in opened_list:
+                            # floor j joins the components it closes from; with
+                            # nothing open above it, it is cut off from the top
+                            mine = (placed + free, tuple(sorted(pending + weights)))
+                            if mine == ((), ()):
+                                continue
+                            scale = ways * labels * comb(opened_before + opened, opened)
+                            part = sums if series is None else _times(sums, series, n)
+                            key = head + (tuple(sorted(others + (mine,))), pend + t)
+                            got = after_floor.get(key)
+                            if got is None:
+                                after_floor[key] = [scale * v for v in part[:n]]
+                            else:
+                                for k in range(n):
+                                    got[k] += scale * part[k]
             # gap j: place pending elevators and sinks
             level = {}
             for (src_left, snk_left, spent, cycles, comps, pend), sums in after_floor.items():
@@ -951,10 +911,10 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
                         else:
                             for e in range(n):
                                 got[e] += scale * sums[e]
-            divs_below += divs[j]
         # the top floor takes the sources and sinks left and closes every
         # open elevator, each placed already; gap a-1 takes every sink left
         j = a - 1
+        base = walk[2]
         for (src_left, snk_left, spent, cycles, comps, pend), sums in level.items():
             codeg = base + spent + j * src_left
             if codeg > bound or any(pending for _, pending in comps):

@@ -44,10 +44,9 @@ A marking orders the floors, and relabelling the diagram by that order
 gives one of its labellings.  So the marked classes of a diagram are also
 counted, without automorphisms, by summing over its distinct labellings
 the reduced extensions that keep the floors in label order:
-count_reduced_extensions(diagram, in_label_order=True).  With the floors
-fixed in order, that count is a transfer over the gaps between them, not
-a downset DP.  Gap j lies between floors j and j + 1, gap a - 1 above the
-top floor.  Elevator (u, v, w) lies in gaps u..v-1 and a sink of floor v
+count_in_label_order(diagram).  With the floors fixed in order, that
+count is a transfer over the gaps between them, not a downset DP.  Gap j
+lies between floors j and j + 1, gap a - 1 above the top floor.  Elevator (u, v, w) lies in gaps u..v-1 and a sink of floor v
 in gaps v..a-1; an element with one gap is forced, the others are
 flexible.  The count sums, over the assignments of these elements to
 gaps, the product of k_j! over the gaps (k_j elements in gap j), times
@@ -131,13 +130,9 @@ def _successors(preds: Sequence[int]) -> List[List[Tuple[int, int]]]:
     return succs
 
 
-def count_reduced_extensions(diagram: FloorDiagram, in_label_order: bool = False) -> int:
+def count_reduced_extensions(diagram: FloorDiagram) -> int:
     """Number of reduced linear extensions, by a forward pass over the
-    downsets of the floors, elevators and sinks; see the module docstring.
-    With in_label_order, only those that place the floors in label order,
-    by the transfer over the gaps between floors (_count_in_label_order)."""
-    if in_label_order:
-        return _count_in_label_order(diagram)
+    downsets of the floors, elevators and sinks; see the module docstring."""
     a = diagram.n_floors
     sources = [f[2] for f in diagram.floors]
     # elements 0..a-1 are the floors, then the elevators, then the sinks;
@@ -181,7 +176,7 @@ def count_reduced_extensions(diagram: FloorDiagram, in_label_order: bool = False
     return level[(1 << n) - 1][0]
 
 
-def _count_in_label_order(diagram: FloorDiagram) -> int:
+def count_in_label_order(diagram: FloorDiagram) -> int:
     """Reduced linear extensions that place the floors in label order: a
     transfer over the gaps between consecutive floors; see the module
     docstring."""

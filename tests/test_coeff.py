@@ -174,7 +174,7 @@ def test_nu_trivial_vector():
 
 def test_nu_matches_marking_counts():
     from floordiag.diagram import vertex_automorphisms
-    from floordiag.marking import count_markings, count_reduced_extensions
+    from floordiag.marking import count_in_label_order, count_markings
 
     for (a, b, n) in itertools.product([3, 4], [3, 4], [0, 1]):
         for uv in enumerate_C(2):
@@ -189,7 +189,7 @@ def test_nu_matches_marking_counts():
                 if s == 0:
                     want = count_markings(d, len(vertex_automorphisms(d)))
                     # the floors of a chain diagram have one order
-                    assert count_reduced_extensions(d, in_label_order=True) == want
+                    assert count_in_label_order(d) == want
                 else:
                     S = canonical_pairing(s)
                     want = sum(

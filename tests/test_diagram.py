@@ -1,8 +1,9 @@
+import hashlib
 import itertools
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floordiag.diagram import (
@@ -10,7 +11,10 @@ from floordiag.diagram import (
     _distinct_permutations,
     _labelled,
     _openings,
+    _placements,
+    _search_bound,
     _splits,
+    _walk_tables,
     automorphism_count,
     canonical_form,
     canonical_key,
@@ -25,7 +29,13 @@ from floordiag.diagram import (
 )
 from floordiag.invariant import invariant_codegree_coeff, refined_invariant
 from floordiag.laurent import EngineError, LaurentPoly
-from floordiag.polygon import HTransversePolygon, lattice_stats, make_delta_abn, make_delta_d
+from floordiag.polygon import (
+    HTransversePolygon,
+    lattice_stats,
+    make_delta_abn,
+    make_delta_d,
+    parse_polygon,
+)
 from codegree_ops import _consecutive, op_A_minus, op_A_plus, op_B_l, op_B_r
 from strategies import small_polygons
 
@@ -174,6 +184,66 @@ def test_labelled_walk_matches_bruteforce(poly, gmax):
         assert_walk_matches_brute_force_labelled(poly, g, brute_force_labelled(poly, g))
 
 
+# (polygon, genus, max_codeg, free_above): (labelled diagrams, SHA-256 of
+# the repr of their (key, assignments, codegree) list, in walk order)
+PINNED_WALKS = [
+    (("abn:5,0,1", 0, None, None),
+     (125, "37111407f392921ec98c0bec791efc6133eabdc70172f80d10a9d4408667f104")),
+    (("abn:5,0,1", 1, None, None),
+     (188, "87f7035127edb5bf0480c48ffce0b4b24e7026fe544fb93d2c3e5c7dc43518b2")),
+    (("abn:5,0,1", 2, None, None),
+     (148, "268af9ac426dd32eea9543d097eb11f40fcad6637d64c44b3cd69f259187a7e1")),
+    (("ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1", 0, None, None),
+     (4142, "f26075e7791556dece2ca0951bd9b7f4047fbf42fedab15c5e40cb9cf8ae49fc")),
+    (("abn:4,2,1", 1, 1, None),
+     (17, "ab78f9ce9918fd2780671371e669f6615de6fd1d97c258d42cdd37eacf1ef71b")),
+    (("abn:4,2,1", 1, 2, 2),
+     (45, "b162825c80c8fa4ea0573781e713ae97f97e407da84648a8e52c4163434f8420")),
+    (("abn:8,3,2", 2, 2, 2),
+     (2230, "1f9059a1dd2d7cde93dd880d61befb832c01ef54571a9a8d9d6a272b8e6874f9")),
+    (("abn:3,2,3", 1, 1, 1),
+     (13, "da57b4626a8c1bc89ea0a1cf3973dbd645022652f94b55c3a406332be22b8046")),
+]
+
+
+@pytest.mark.parametrize("walk,pinned", PINNED_WALKS)
+def test_walks_are_pinned(walk, pinned):
+    # full walks and shape walks list the same diagrams, assignments and
+    # codegrees in the same order, free slots among them
+    literal, genus, max_codeg, free_above = walk
+    rows = [(d.key(), assign, codeg) for d, assign, codeg
+            in _labelled(parse_polygon(literal), genus, max_codeg, free_above)]
+    assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()) == pinned
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polygons(), st.integers(0, 2), st.integers(0, 3), st.data())
+def test_placements_are_the_brute_force_placements(poly, genus, max_codeg, data):
+    # every (s, t) whose gap above is crossed (flow >= 1) and whose least
+    # codegree is within the bound, in order, with its cost and edge floor
+    assume(poly.height > 1)
+    iota, bound = _search_bound(poly, genus, max_codeg)
+    ls = data.draw(st.permutations(poly.d_l))
+    rs = data.draw(st.permutations(poly.d_r))
+    walk = _walk_tables(poly, bound, iota, ls, rs)
+    a, _, base, divs, most, _ = walk
+    j = data.draw(st.integers(0, a - 2))
+    src_left = data.draw(st.integers(0, poly.d_b))
+    snk_left = data.draw(st.integers(0, poly.d_t))
+    spent = data.draw(st.integers(0, 4))
+    room = data.draw(st.integers(0, a - 1 + genus))
+    in_flow = (poly.d_b - src_left) - (poly.d_t - snk_left) - sum(divs[:j])
+    brute = []
+    for s in range(src_left + 1):
+        for t in range(snk_left + 1):
+            here = spent + j * s + (a - 1 - j) * t
+            flow = in_flow + s - t - divs[j]
+            least = base + here + (j + 1) * (src_left - s)
+            if flow >= 1 and least <= bound:
+                brute.append((s, t, here, flow, least, max(room - most[j][snk_left - t], 0)))
+    assert _placements(walk, j, src_left, snk_left, spent, room) == brute
+
+
 @pytest.mark.parametrize("items", [
     (),
     ((0, 1),),
@@ -257,8 +327,8 @@ def test_walks_share_no_state_across_calls():
 @pytest.mark.parametrize("abn,genus", [((4, 2, 1), 1), ((8, 3, 2), 2)])
 def test_walk_lists_each_split_once(monkeypatch, abn, genus):
     # a codegree-2 shape walk on the one label order of Delta_{a,b,n}: the
-    # split table holds one entry per tuple of open elevators, whatever free
-    # slots cross the gap beside them
+    # split table holds one entry per tuple of open elevators, free slots
+    # among them
     calls = []
 
     def counted(items):

@@ -33,7 +33,7 @@ from floordiag.laurent import EngineError, LaurentPoly
 from floordiag.marking import (
     all_pairings,
     canonical_pairing,
-    count_reduced_extensions,
+    count_in_label_order,
     enumerate_markings,
     make_pairing,
     mu_S,
@@ -234,6 +234,27 @@ def test_invariant_codegree_coeff_lower_half(literal, genus, monkeypatch):
     assert invariant_codegree_coeff(polygon, genus, 2 * top + 1) == 0
 
 
+def test_codegree_coeff_past_the_polynomial_is_zero(monkeypatch):
+    # past 2(iota-g) every coefficient is 0: the transfer runs to
+    # 2(iota-g)+1 and pads, so a far index costs no more than that one
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    lengths = []
+    squares = diagram._square_codegrees
+
+    def recorded(w, n):
+        lengths.append(n)
+        return squares(w, n)
+
+    monkeypatch.setattr(diagram, "_square_codegrees", recorded)
+    polygon = make_delta_d(4)
+    top = lattice_stats(polygon).interior - 1
+    assert invariant_codegree_coeff(polygon, 1, 10**5) == 0
+    assert set(lengths) == {2 * top + 2}
+    full = refined_invariant(polygon, 1)
+    assert codegree_coefficients(polygon, 1, 2 * top + 5) == [
+        full.coeff2(2 * (top - k)) for k in range(2 * top + 6)]
+
+
 def test_descendant_codegree_coeff_lower_half(monkeypatch):
     monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
     polygon = make_delta_abn(3, 1, 1)
@@ -273,7 +294,7 @@ def labelled_shape_sum(polygon, genus, i):
     the listing that the transfer replaced, kept as its oracle."""
     def shape_term(shape, codeg):
         weights = [w for _, _, w in shape.elevators]
-        return (count_reduced_extensions(shape, in_label_order=True)
+        return (count_in_label_order(shape)
                 * coeff_product_of_squares(i - codeg, weights))
 
     return codegree_coefficient_sum(polygon, genus, i, shape_term)
@@ -316,7 +337,8 @@ def test_codegree_coeff_lists_no_shape(monkeypatch):
 
     for module in (diagram, marking, coeff, invariant):
         for name in ("run_enumeration_task", "count_reduced_extensions",
-                     "coeff_product_of_squares", "codegree_coefficient_sum"):
+                     "count_in_label_order", "coeff_product_of_squares",
+                     "codegree_coefficient_sum"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fail)
     for (poly, g), values in zip(cases, expected):
@@ -437,8 +459,7 @@ def _labelled_sum(polygon, genus):
     groups = {}
     for d, _, _ in diagram._labelled(polygon, genus, None):
         weights = tuple(sorted(w for _, _, w in d.elevators if w > 1))
-        groups.setdefault(weights, [d, 0])[1] += marking.count_reduced_extensions(
-            d, in_label_order=True)
+        groups.setdefault(weights, [d, 0])[1] += marking.count_in_label_order(d)
     total = LaurentPoly.zero()
     for d, n in groups.values():
         total = total + diagram.mult(d).scalar_mul(n)

@@ -18,6 +18,7 @@ from floordiag.laurent import EngineError, LaurentPoly, poly_geq, quantum_intege
 from floordiag.marking import (
     all_pairings,
     canonical_pairing,
+    count_in_label_order,
     count_markings,
     count_reduced_extensions,
     descendant_sum,
@@ -114,9 +115,9 @@ def test_labelled_extensions_match_oracle_on_cubic_and_quartic():
         for g in range(lattice_stats(polygon).interior + 1):
             for d in labelled_diagrams(polygon, g):
                 oracle = labelled_extensions_oracle(d, iter_reduced_extensions(d))
-                assert count_reduced_extensions(d, in_label_order=True) == oracle, d
+                assert count_in_label_order(d) == oracle, d
             # the labellings of a class share out its marked classes
-            labelled = sum(count_reduced_extensions(d, in_label_order=True)
+            labelled = sum(count_in_label_order(d)
                            for d, _, _ in _labelled(polygon, g, None))
             classes = sum(marked_classes(d) for d in enumerate_floor_diagrams(polygon, g))
             assert labelled == classes
@@ -129,7 +130,7 @@ def test_labelled_extensions_match_oracle_on_random_polygons(polygon, genus):
     # elevators; draws whose oracle would list more than 20,000 extensions
     # are skipped, after the labellings are checked to share out the marked
     # classes
-    labelled = sum(count_reduced_extensions(d, in_label_order=True)
+    labelled = sum(count_in_label_order(d)
                    for d, _, _ in _labelled(polygon, genus, None))
     assert labelled == sum(marked_classes(d) for d in enumerate_floor_diagrams(polygon, genus))
     diagrams = list(labelled_diagrams(polygon, genus))
@@ -138,7 +139,7 @@ def test_labelled_extensions_match_oracle_on_random_polygons(polygon, genus):
         extensions = list(iter_reduced_extensions(d))
         assert count_reduced_extensions(d) == len(extensions), d
         oracle = labelled_extensions_oracle(d, extensions)
-        assert count_reduced_extensions(d, in_label_order=True) == oracle, d
+        assert count_in_label_order(d) == oracle, d
 
 
 # past the oracle's cap: the gap transfer over the labellings against the
@@ -151,7 +152,7 @@ def test_labelled_extensions_share_out_the_marked_classes(literal, turned, max_g
     if turned:
         polygon = upside_down(polygon)
     for g in range(max_genus + 1):
-        labelled = sum(count_reduced_extensions(d, in_label_order=True)
+        labelled = sum(count_in_label_order(d)
                        for d, _, _ in _labelled(polygon, g, None))
         classes = sum(count_markings(d, auts)
                       for d, auts in enumerate_floor_diagrams(polygon, g).items())
