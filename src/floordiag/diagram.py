@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -362,19 +363,22 @@ def _splits(items: Tuple[Tuple[int, int], ...]) -> List[Tuple[Tuple, Tuple, int]
             for closed, still_open in rec(0)]
 
 
+@lru_cache(maxsize=None)
 def _openings(
     total: int, least: int, cap: int, free_above: Optional[int]
-) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
+) -> Tuple[Tuple[Tuple[int, ...], int, int], ...]:
     """Ways to open between `least` and `cap` elevators, free slots
     included, carrying `total` >= 0 out of a floor.
 
-    Yields (explicit weights, free slots, assignments).  Weights above
-    `free_above` go to free slots, whose ordered weight assignments are
-    counted rather than listed; free_above=None keeps every weight explicit,
-    as no weight exceeds `total`.  A total of 0 has only the empty opening
-    ((), 0, 1), when least is 0.
+    Gives (explicit weights, free slots, assignments) per opening, in one
+    table for the process.  Weights above `free_above` go to free slots,
+    whose ordered weight assignments are counted rather than listed;
+    free_above=None keeps every weight explicit, as no weight exceeds
+    `total`.  A total of 0 has only the empty opening ((), 0, 1), when
+    least is 0.
     """
     hi = total if free_above is None else free_above
+    found = []
     for explicit in range(min(total, hi * cap) + 1):
         free = total - explicit
         if free == 0:
@@ -388,8 +392,9 @@ def _openings(
         for k_free, ways in frees:
             for k in range(max(least - k_free, 1 if explicit else 0),
                            min(cap - k_free, explicit) + 1):
-                for weights in compositions(explicit, k, hi):
-                    yield weights, k_free, ways
+                found.extend((weights, k_free, ways)
+                             for weights in compositions(explicit, k, hi))
+    return tuple(found)
 
 
 def _base_codegree(
@@ -497,8 +502,9 @@ def run_enumeration_task(
     component left.  Tables local to the call list, once each, the
     placements of every (floor, sources left, sinks left, cost, room), the
     splits of every tuple of open elevators and the openings of every
-    (floor, total, least, cap); _openings alone decides how many elevators
-    a floor opens, none included, and a split it gives no opening is cut.
+    (floor, total, least, cap), from the process-wide _openings; _openings
+    alone decides how many elevators a floor opens, none included, and a
+    split it gives no opening is cut.
 
     With free_above=None every weight is explicit and assignments is 1.
     With free_above=i (and max_codeg=i) the diagrams are shapes: elevators
@@ -522,8 +528,8 @@ def run_enumeration_task(
     shared: Dict[Tuple, Tuple] = {}
     # the placements of each (floor, sources left, sinks left, cost, room),
     # the splits of each tuple of open elevators, and the openings of each
-    # (floor, total, least, cap) as the (floor, weight) pairs opened, listed
-    # on first use and read by every later node
+    # (floor, total, least, cap) as the (floor, weight) pairs opened (faster
+    # than a floor-free key), listed on first use and read by every later node
     placement_table: Dict[Tuple[int, int, int, int, int], List[Tuple]] = {}
     split_table: Dict[Tuple, List[Tuple[Tuple, Tuple, int]]] = {}
     opening_table: Dict[Tuple[int, int, int, int], List[Tuple[Tuple, int]]] = {}
@@ -696,6 +702,85 @@ def _exact_quotient(num: int, den: int) -> int:
     return q
 
 
+@lru_cache(maxsize=None)
+def _transfer_openings(total: int, least: int, cap: int, i: int) -> Tuple[Tuple, ...]:
+    """_openings(total, least, cap, i) as the transfer reads them: (weights,
+    free slots, labellings times assignments, elevators opened, heavy), the
+    n! / prod c_w! labellings of n opened elevators, c_w of weight w, and
+    heavy the weights above 1, free slots of weight i+1 among them."""
+    slot = i + 1
+    found = []
+    for weights, k_free, ways in _openings(total, least, cap, i):
+        free = (slot,) * k_free
+        labels, opened = ways, 0
+        for _, group in itertools.groupby(weights + free):
+            c = len(list(group))
+            opened += c
+            labels *= comb(opened, c)
+        found.append((weights, free, labels, opened,
+                      tuple(w for w in weights + free if w > 1)))
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def _transfer_splits(comps: Tuple, i: int) -> Tuple[int, int, Tuple[Tuple, ...]]:
+    """(placed elevators, pending ones, splits) of a components tuple; per
+    split of the placed ones: (weight and number kept open, pending
+    included; ways; cycles added; untouched components; placed and pending
+    elevators left to floor j's component).  Free slots (i+1) all close."""
+    slot = i + 1
+    items = tuple((c, w) for c, (placed, _) in enumerate(comps)
+                  for w in placed if w != slot)
+    free = tuple((c, w) for c, (placed, _) in enumerate(comps)
+                 for w in placed if w == slot)
+    held = [w for _, pending in comps for w in pending]
+    found = []
+    for closed, still_open, kept in _splits(items):
+        ways = 1
+        for item, group in itertools.groupby(closed):
+            ways *= comb(items.count(item), len(list(group)))
+        closed += free
+        joined = {c for c, _ in closed}
+        left: List[List[int]] = [[] for _ in comps]
+        for c, w in still_open:
+            left[c].append(w)
+        others = tuple((tuple(left[c]), comps[c][1])
+                       for c in range(len(comps)) if c not in joined)
+        placed = tuple(sorted(w for c in joined for w in left[c]))
+        pending = tuple(sorted(w for c in joined for w in comps[c][1]))
+        found.append((kept + sum(held), len(still_open) + len(held), ways,
+                      len(closed) - len(joined), others, placed, pending))
+    return len(items) + len(free), len(held), tuple(found)
+
+
+@lru_cache(maxsize=None)
+def _gap_choices(comps: Tuple, i: int) -> Tuple[Tuple[int, int, Tuple], ...]:
+    """(elements placed, ways, components after) for every choice of the
+    pending elevators of a components tuple to place in a gap; the free
+    slots, of weight i+1, of the floor below are placed already."""
+    per_comp = []
+    for placed, pending in comps:
+        groups = [(w, len(list(g))) for w, g in itertools.groupby(pending)]
+        options = []
+        for xs in itertools.product(*[range(q + 1) for _, q in groups]):
+            ways, now, later = 1, list(placed), []
+            for (w, q), x in zip(groups, xs):
+                ways *= comb(q, x)
+                now += [w] * x
+                later += [w] * (q - x)
+            options.append((sum(xs), ways, (tuple(sorted(now)), tuple(later))))
+        per_comp.append(options)
+    forced = sum(placed.count(i + 1) for placed, _ in comps)
+    found = []
+    for choice in itertools.product(*per_comp):
+        k, ways = forced, 1
+        for x, w, _ in choice:
+            k += x
+            ways *= w
+        found.append((k, ways, tuple(sorted(comp for _, _, comp in choice))))
+    return tuple(found)
+
+
 def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> List[int]:
     """[coef_0, ..., coef_i] of G_Delta(g), by one forward transfer per
     label order over the states of the shape walk at free_above=i, with no
@@ -744,7 +829,10 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
     floor places every sink left in gap a-1.  The total is divided once by
     (a-1+g)! d_t!, the labellings of the elevators and the sinks, and the
     division is checked to be exact.  Coefficient k reads the top level:
-    a state of codegree c adds its coefficient k - c.
+    a state of codegree c adds its coefficient k - c.  The openings,
+    splits and gap choices depend on their key and i alone
+    (_transfer_openings, _transfer_splits, _gap_choices), so every call of
+    the process shares them; the factorials and [w]^2 stay per call.
     """
     n_coeffs = i + 1
     total = [0] * n_coeffs
@@ -756,96 +844,9 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
     if i > last:
         return codegree_coefficients(polygon, genus, last) + [0] * (i - last)
     a, d_b, d_t = polygon.height, polygon.d_b, polygon.d_t
-    slot = i + 1  # the weight of a free slot
     target_edges = a - 1 + genus
     fact = [factorial(k) for k in range(target_edges + d_t + 1)]
-    squares = [_square_codegrees(w, n_coeffs) for w in range(slot + 1)]
-    # tables for the whole call: the openings of each (total, least, cap),
-    # the splits of each components tuple, and the gap choices of each
-    # components tuple
-    opening_table: Dict[Tuple[int, int, int], List[Tuple]] = {}
-    split_table: Dict[Tuple, Tuple[int, int, List[Tuple]]] = {}
-    gap_table: Dict[Tuple, List[Tuple[int, int, Tuple]]] = {}
-    # (free slots, labellings, elevators opened, series) per opening
-    opening_terms: Dict[Tuple[Tuple[int, ...], int], Tuple] = {}
-
-    def openings(out_total: int, least: int, cap: int) -> List[Tuple]:
-        # (weights, free slots, labellings times assignments, elevators
-        # opened, coefficient series or None for 1)
-        found = []
-        for weights, k_free, ways in _openings(out_total, least, cap, i):
-            terms = opening_terms.get((weights, k_free))
-            if terms is None:
-                opened = len(weights) + k_free
-                series = [1] + [0] * i
-                copies = 1
-                for w, group in itertools.groupby(weights + (slot,) * k_free):
-                    c = len(list(group))
-                    copies *= fact[c]
-                    if w > 1:
-                        for _ in range(c):
-                            series = _times(series, squares[w], n_coeffs)
-                terms = opening_terms[weights, k_free] = (
-                    (slot,) * k_free, _exact_quotient(fact[opened], copies), opened,
-                    None if series[0] == 1 and not any(series[1:]) else series)
-            free, labels, opened, series = terms
-            found.append((weights, free, ways * labels, opened, series))
-        return found
-
-    def splits(comps: Tuple) -> Tuple[int, int, List[Tuple]]:
-        # the placed elevators, the pending ones, and per split of the
-        # placed ones (weight and number kept open, pending included; ways;
-        # cycles added; untouched components; placed and pending elevators
-        # left to floor j's component); the free slots all close
-        items = tuple((c, w) for c, (placed, _) in enumerate(comps)
-                      for w in placed if w != slot)
-        free = tuple((c, w) for c, (placed, _) in enumerate(comps)
-                     for w in placed if w == slot)
-        held = [w for _, pending in comps for w in pending]
-        found = []
-        for closed, still_open, kept in _splits(items):
-            ways = 1
-            for item, group in itertools.groupby(closed):
-                ways *= comb(items.count(item), len(list(group)))
-            closed += free
-            joined = {c for c, _ in closed}
-            left: List[List[int]] = [[] for _ in comps]
-            for c, w in still_open:
-                left[c].append(w)
-            others = tuple((tuple(left[c]), comps[c][1])
-                           for c in range(len(comps)) if c not in joined)
-            placed = tuple(sorted(w for c in joined for w in left[c]))
-            pending = tuple(sorted(w for c in joined for w in comps[c][1]))
-            found.append((kept + sum(held), len(still_open) + len(held), ways,
-                          len(closed) - len(joined), others, placed, pending))
-        return len(items) + len(free), len(held), found
-
-    def gap_choices(comps: Tuple) -> List[Tuple[int, int, Tuple]]:
-        # (elements placed, ways, components after) for every choice of the
-        # pending elevators to place; the free slots of the floor below are
-        # placed already
-        per_comp = []
-        for placed, pending in comps:
-            groups = [(w, len(list(g))) for w, g in itertools.groupby(pending)]
-            options = []
-            for xs in itertools.product(*[range(q + 1) for _, q in groups]):
-                ways, now, later = 1, list(placed), []
-                for (w, q), x in zip(groups, xs):
-                    ways *= comb(q, x)
-                    now += [w] * x
-                    later += [w] * (q - x)
-                options.append((sum(xs), ways, (tuple(sorted(now)), tuple(later))))
-            per_comp.append(options)
-        forced = sum(placed.count(slot) for placed, _ in comps)
-        found = []
-        for choice in itertools.product(*per_comp):
-            k, ways = forced, 1
-            for x, w, _ in choice:
-                k += x
-                ways *= w
-            found.append((k, ways, tuple(sorted(comp for _, _, comp in choice))))
-        return found
-
+    squares = [_square_codegrees(w, n_coeffs) for w in range(i + 2)]
     for ls, rs in orders:
         walk = _walk_tables(polygon, bound, iota, ls, rs)
         level: Dict[Tuple, List[int]] = {(d_b, d_t, 0, 0, (), 0): [1] + [0] * i}
@@ -854,10 +855,7 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
             after_floor: Dict[Tuple, List[int]] = {}
             for (src_left, snk_left, spent, cycles, comps, pend), sums in level.items():
                 closed_edges = cycles + j - len(comps)
-                got = split_table.get(comps)
-                if got is None:
-                    got = split_table[comps] = splits(comps)
-                n_placed, n_pending, table = got
+                n_placed, n_pending, table = _transfer_splits(comps, i)
                 opened_before = closed_edges + n_placed + n_pending
                 room = target_edges - opened_before
                 prefix = j + closed_edges + n_placed + d_t - snk_left - pend + d_b - src_left
@@ -871,22 +869,23 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
                         new_cycles += cycles
                         if new_cycles > genus:
                             continue
-                        key = (out_total, must_open, min(room, 1 + genus + bound - least - n_kept))
-                        opened_list = opening_table.get(key)
-                        if opened_list is None:
-                            opened_list = opening_table[key] = openings(*key)
+                        cap = min(room, 1 + genus + bound - least - n_kept)
+                        opened_list = _transfer_openings(out_total, must_open, cap, i)
                         # the coefficients a state of this spent can still reach
                         n = n_coeffs - (least + kept)
                         head = (src_left - s, snk_left - t, here + kept, new_cycles)
                         ways *= placing
-                        for weights, free, labels, opened, series in opened_list:
+                        for weights, free, labels, opened, heavy in opened_list:
                             # floor j joins the components it closes from; with
                             # nothing open above it, it is cut off from the top
                             mine = (placed + free, tuple(sorted(pending + weights)))
                             if mine == ((), ()):
                                 continue
                             scale = ways * labels * comb(opened_before + opened, opened)
-                            part = sums if series is None else _times(sums, series, n)
+                            part = sums
+                            if n > 1:  # each [w]^2 has constant term 1
+                                for w in heavy:
+                                    part = _times(part, squares[w], n)
                             key = head + (tuple(sorted(others + (mine,))), pend + t)
                             got = after_floor.get(key)
                             if got is None:
@@ -897,11 +896,8 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
             # gap j: place pending elevators and sinks
             level = {}
             for (src_left, snk_left, spent, cycles, comps, pend), sums in after_floor.items():
-                choices = gap_table.get(comps)
-                if choices is None:
-                    choices = gap_table[comps] = gap_choices(comps)
                 n = len(sums)
-                for k, ways, new_comps in choices:
+                for k, ways, new_comps in _gap_choices(comps, i):
                     for x in range(pend + 1):
                         scale = ways * comb(pend, x) * fact[k + x]
                         key = (src_left, snk_left, spent, cycles, new_comps, pend - x)

@@ -205,6 +205,8 @@ def invariant_codegree_coeff(
     treating equal elevators and sinks as distinct copies and dividing once
     at the end, and needs no canonical forms or automorphisms.
     """
+    if min(genus, i) >= 0 and i > 2 * (lattice_stats(polygon).interior - genus):
+        return 0  # past 2(iota - g), the bottom exponent, or g > iota: no transfer
     return codegree_coefficients(polygon, genus, i)[i]
 
 

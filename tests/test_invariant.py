@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from fractions import Fraction
 from math import comb
@@ -235,8 +237,9 @@ def test_invariant_codegree_coeff_lower_half(literal, genus, monkeypatch):
 
 
 def test_codegree_coeff_past_the_polynomial_is_zero(monkeypatch):
-    # past 2(iota-g) every coefficient is 0: the transfer runs to
-    # 2(iota-g)+1 and pads, so a far index costs no more than that one
+    # past 2(iota-g) every coefficient is 0: invariant_codegree_coeff runs
+    # no transfer there, and codegree_coefficients runs it to 2(iota-g)+1
+    # and pads, so a far index costs no more than that one
     monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
     lengths = []
     squares = diagram._square_codegrees
@@ -249,10 +252,28 @@ def test_codegree_coeff_past_the_polynomial_is_zero(monkeypatch):
     polygon = make_delta_d(4)
     top = lattice_stats(polygon).interior - 1
     assert invariant_codegree_coeff(polygon, 1, 10**5) == 0
-    assert set(lengths) == {2 * top + 2}
+    assert lengths == []
     full = refined_invariant(polygon, 1)
     assert codegree_coefficients(polygon, 1, 2 * top + 5) == [
         full.coeff2(2 * (top - k)) for k in range(2 * top + 6)]
+    assert set(lengths) == {2 * top + 2}
+
+
+def test_far_codegree_index_builds_no_list(monkeypatch):
+    # a far index, or a genus above iota, gives 0 without the i + 1 zeros
+    # of the padded list: at i = 10**6 that list alone is 8 MB
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    polygon = make_delta_d(4)
+    tracemalloc.start()
+    try:
+        assert invariant_codegree_coeff(polygon, 1, 10**6) == 0
+        assert invariant_codegree_coeff(polygon, 4, 10**6) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError):
+        invariant_codegree_coeff(polygon, -1, 10**6)
 
 
 def test_descendant_codegree_coeff_lower_half(monkeypatch):
@@ -345,16 +366,86 @@ def test_codegree_coeff_lists_no_shape(monkeypatch):
         assert [invariant_codegree_coeff(poly, g, i) for i in range(3)] == values
 
 
-def test_inexact_codegree_transfer_is_an_engine_fault(monkeypatch, capsys):
+# the tables that every walk and transfer of the process shares
+SHARED_TABLES = (diagram._openings, diagram._transfer_openings,
+                 diagram._transfer_splits, diagram._gap_choices)
+
+
+def clear_shared_tables():
+    for table in SHARED_TABLES:
+        table.cache_clear()
+
+
+FIT_GRID = ["fit", "--i", "1", "--genus", "1", "--grid", "a=4..8,b=2..5,n=1..4"]
+
+
+@pytest.mark.parametrize("tables", ["cold", "warm"])
+def test_inexact_codegree_transfer_is_an_engine_fault(tables, monkeypatch, capsys):
     # with each factorial one too large, the labellings no longer divide
-    # the total: the transfer raises, and the CLI reports an engine fault
+    # the total: the transfer raises, and the CLI reports an engine fault,
+    # whether the shared tables are empty or already hold every key
     monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    clear_shared_tables()
+    if tables == "warm":
+        invariant_codegree_coeff(make_delta_abn(4, 2, 1), 1, 1)
+        assert cli.main(FIT_GRID) == 0
+        capsys.readouterr()
     monkeypatch.setattr(diagram, "factorial", lambda k: math.factorial(k) + 1)
     with pytest.raises(EngineError):
         invariant_codegree_coeff(make_delta_abn(4, 2, 1), 1, 1)
-    code = cli.main(["fit", "--i", "1", "--genus", "1", "--grid", "a=4..8,b=2..5,n=1..4"])
-    assert code == 3
+    assert cli.main(FIT_GRID) == 3
     assert capsys.readouterr().err.startswith("engine fault: ")
+
+
+def test_codegree_transfer_is_independent_of_table_order(monkeypatch):
+    # an entry of a shared table depends on its key alone: the values from
+    # empty tables come back after other polygons and codegrees filled
+    # them in another order, and after a call under a patched factorial
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    mixed = parse_polygon("ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1")
+    cases = [(make_delta_abn(4, 2, 1), 1, 2), (make_delta_abn(8, 3, 2), 2, 2),
+             (mixed, 0, 3), (D4, 1, 5)]
+    clear_shared_tables()
+    cold = [codegree_coefficients(poly, g, i) for poly, g, i in cases]
+    clear_shared_tables()
+    others = [(make_delta_abn(5, 2, 1), 1), (make_delta_abn(3, 2, 3), 1),
+              (make_delta_d(5), 2), (mixed, 1)]
+    for i in range(4):
+        for poly, g in others:
+            codegree_coefficients(poly, g, i)
+            enumerate_floor_diagrams(poly, g, i)
+            labelled_shape_sum(poly, g, i)
+    with monkeypatch.context() as patched:
+        patched.setattr(diagram, "factorial", lambda k: math.factorial(k) + 1)
+        for poly, g, i in cases:
+            with pytest.raises(EngineError):
+                codegree_coefficients(poly, g, i)
+    assert [codegree_coefficients(poly, g, i) for poly, g, i in cases] == cold
+
+
+def pinned_transfer_cases():
+    # the fit box of coef_1 in genus 1, three shape cases with free slots
+    # and sinks below the top floor, and every genus of four polygons one
+    # index below the bottom exponent
+    for a in range(4, 10):
+        for b in range(2, 6):
+            for n in range(1, 5):
+                yield make_delta_abn(a, b, n), 1, 1
+    for abn in [(8, 3, 2), (9, 3, 2), (12, 3, 3)]:
+        yield make_delta_abn(*abn), 2, 2
+    for literal in ["abn:4,0,1", "abn:5,0,1",
+                    "ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1", "abn:3,2,3"]:
+        polygon = parse_polygon(literal)
+        iota = lattice_stats(polygon).interior
+        for g in range(iota + 1):
+            yield polygon, g, 2 * (iota - g) + 1
+
+
+def test_codegree_transfer_values_are_pinned():
+    # (transfer calls, SHA-256 of the repr of their coefficient lists)
+    rows = [codegree_coefficients(poly, g, i) for poly, g, i in pinned_transfer_cases()]
+    assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()) == (
+        134, "c3c50f3f0072e754f485bb173d74299b4a2050a5a4039375119473e30bd4e080")
 
 
 @pytest.mark.parametrize("literal", ["abn:4,0,1", "abn:3,1,1", "abn:3,2,1"])
