@@ -345,9 +345,11 @@ def bounded_vectors(costs: Sequence[int], budget: int) -> Iterator[Tuple[int, ..
     yield from rec(0, budget)
 
 
-def _splits(items: Tuple[Tuple[int, int], ...]) -> List[Tuple[Tuple, Tuple, int]]:
+@lru_cache(maxsize=None)
+def _splits(items: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[Tuple, Tuple, int], ...]:
     """Every split of a sorted tuple of (origin, weight) pairs into two
-    sorted sub-multisets (closed, still_open), with the weight kept open."""
+    sorted sub-multisets (closed, still_open), with the weight kept open;
+    one table for the process, read by the listing walk and the transfer."""
     groups = [(k, len(list(g))) for k, g in itertools.groupby(items)]
 
     def rec(idx):
@@ -359,8 +361,8 @@ def _splits(items: Tuple[Tuple[int, int], ...]) -> List[Tuple[Tuple, Tuple, int]
             for take in range(mult + 1):
                 yield (key,) * take + closed, (key,) * (mult - take) + still_open
 
-    return [(closed, still_open, sum(w for _, w in still_open))
-            for closed, still_open in rec(0)]
+    return tuple((closed, still_open, sum(w for _, w in still_open))
+                 for closed, still_open in rec(0))
 
 
 @lru_cache(maxsize=None)
@@ -484,6 +486,19 @@ def _placements(
     return found
 
 
+class _PlacementTable(dict):
+    """The _placements of one label order, keyed (floor, sources left,
+    sinks left, cost, room) and listed on first use; both walks read their
+    placements through it."""
+
+    def __init__(self, walk: Tuple):
+        self.walk = walk
+
+    def __missing__(self, key: Tuple[int, int, int, int, int]) -> List[Tuple]:
+        found = self[key] = _placements(self.walk, *key)
+        return found
+
+
 def run_enumeration_task(
     polygon: HTransversePolygon,
     genus: int,
@@ -500,9 +515,9 @@ def run_enumeration_task(
     new ones; closed elevators with more independent cycles than the
     genus are cut where they appear, and the top floor must join every
     component left.  Tables local to the call list, once each, the
-    placements of every (floor, sources left, sinks left, cost, room), the
-    splits of every tuple of open elevators and the openings of every
-    (floor, total, least, cap), from the process-wide _openings; _openings
+    placements of every (floor, sources left, sinks left, cost, room) and
+    the openings of every (floor, total, least, cap), from the process-wide
+    _openings; the splits come from the process-wide _splits.  _openings
     alone decides how many elevators a floor opens, none included, and a
     split it gives no opening is cut.
 
@@ -519,6 +534,7 @@ def run_enumeration_task(
     a = polygon.height
     walk = _walk_tables(polygon, bound, iota, ls, rs)
     base = walk[2]
+    placement_table = _PlacementTable(walk)
     target_edges = a - 1 + genus
     found: List[Tuple[FloorDiagram, int, int]] = []
 
@@ -526,12 +542,9 @@ def run_enumeration_task(
     slot = None if free_above is None else free_above + 1  # free-slot weight
     # one copy of each floor list and elevator, shared by the diagrams found
     shared: Dict[Tuple, Tuple] = {}
-    # the placements of each (floor, sources left, sinks left, cost, room),
-    # the splits of each tuple of open elevators, and the openings of each
-    # (floor, total, least, cap) as the (floor, weight) pairs opened (faster
-    # than a floor-free key), listed on first use and read by every later node
-    placement_table: Dict[Tuple[int, int, int, int, int], List[Tuple]] = {}
-    split_table: Dict[Tuple, List[Tuple[Tuple, Tuple, int]]] = {}
+    # the openings of each (floor, total, least, cap) as the (floor, weight)
+    # pairs opened (faster than a floor-free key), listed on first use and
+    # read by every later node
     opening_table: Dict[Tuple[int, int, int, int], List[Tuple[Tuple, int]]] = {}
 
     def rec(j, src_left, snk_left, spent, open_edges, edges, comp, cycles, assign):
@@ -557,14 +570,9 @@ def run_enumeration_task(
             return
         # room only falls by openings, and cap below keeps it nonnegative
         room = target_edges - len(edges) - len(open_edges)
-        key = (j, src_left, snk_left, spent, room)
-        placements = placement_table.get(key)
-        if placements is None:
-            placements = placement_table[key] = _placements(walk, *key)
-        splits = split_table.get(open_edges)
-        if splits is None:
-            splits = split_table[open_edges] = _splits(open_edges)
-        for s, t, here, flow, least, must_open in placements:
+        splits = _splits(open_edges)
+        for s, t, here, flow, least, must_open in placement_table[
+                j, src_left, snk_left, spent, room]:
             srcs[j], snks[j] = s, t
             for closed, still_open, kept in splits:
                 out_total = flow - kept
@@ -832,7 +840,9 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
     a state of codegree c adds its coefficient k - c.  The openings,
     splits and gap choices depend on their key and i alone
     (_transfer_openings, _transfer_splits, _gap_choices), so every call of
-    the process shares them; the factorials and [w]^2 stay per call.
+    the process shares them.  The factorials, [w]^2 and the truncated
+    product of [w]^2 over each opening's heavy weights stay per call, and
+    the placements (_PlacementTable) per label order.
     """
     n_coeffs = i + 1
     total = [0] * n_coeffs
@@ -847,8 +857,10 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
     target_edges = a - 1 + genus
     fact = [factorial(k) for k in range(target_edges + d_t + 1)]
     squares = [_square_codegrees(w, n_coeffs) for w in range(i + 2)]
+    heavy_products: Dict[Tuple[int, ...], List[int]] = {}
     for ls, rs in orders:
         walk = _walk_tables(polygon, bound, iota, ls, rs)
+        placement_table = _PlacementTable(walk)
         level: Dict[Tuple, List[int]] = {(d_b, d_t, 0, 0, (), 0): [1] + [0] * i}
         for j in range(a - 1):
             # floor j: sources, sinks, closings and openings
@@ -859,8 +871,8 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
                 opened_before = closed_edges + n_placed + n_pending
                 room = target_edges - opened_before
                 prefix = j + closed_edges + n_placed + d_t - snk_left - pend + d_b - src_left
-                for s, t, here, flow, least, must_open in _placements(
-                        walk, j, src_left, snk_left, spent, room):
+                for s, t, here, flow, least, must_open in placement_table[
+                        j, src_left, snk_left, spent, room]:
                     placing = comb(prefix + s, s) * comb(d_t - snk_left + t, t)
                     for kept, n_kept, ways, new_cycles, others, placed, pending in table:
                         out_total = flow - kept
@@ -883,9 +895,14 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
                                 continue
                             scale = ways * labels * comb(opened_before + opened, opened)
                             part = sums
-                            if n > 1:  # each [w]^2 has constant term 1
-                                for w in heavy:
-                                    part = _times(part, squares[w], n)
+                            if n > 1 and heavy:  # each [w]^2 has constant term 1
+                                factor = heavy_products.get(heavy)
+                                if factor is None:
+                                    factor = squares[heavy[0]]
+                                    for w in heavy[1:]:
+                                        factor = _times(factor, squares[w], n_coeffs)
+                                    heavy_products[heavy] = factor
+                                part = _times(sums, factor, n)
                             key = head + (tuple(sorted(others + (mine,))), pend + t)
                             got = after_floor.get(key)
                             if got is None:

@@ -31,8 +31,8 @@ testing every element, and the DPs step over ready elements only.
 
 mu_S is the product of the factors that _single_key names for each
 unpaired position and _pair_key for each pair of S (None when the pair
-is incompatible); _factor_terms expands a key.  is_compatible, mu_S and
-descendant_sum all read that one rule.
+is incompatible); _factor_terms expands a key, once per process.
+is_compatible, mu_S and descendant_sum all read that one rule.
 
 descendant_sum can stop at a doubled exponent, exactly: each element of
 weight w contributes doubled top exponent 2(w - 1) with coefficient 1,
@@ -66,6 +66,7 @@ this count, summed over the labelled shapes, is the tests' oracle for it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -388,6 +389,7 @@ _TWO = quantum_integer(2)
 _UNIT = ("unit",)
 
 
+@lru_cache(maxsize=None)
 def _factor_terms(key: Tuple) -> Tuple[Tuple[int, int], ...]:
     """Terms of the mu_S factor named by key: ("square", w) is [w]^2,
     ("floor", w) is [w](q^2) and ("double", w, w') is [w][w'][w+w']/[2]."""
@@ -461,7 +463,7 @@ def descendant_sum(
     of the element just placed.  Floor automorphisms act freely on reduced
     extensions and preserve mu_S, so dividing by their number gives the sum
     over marked classes; automorphisms is their number, and the division
-    is checked to be exact.
+    is checked to be exact.  The factors' terms are a process-wide table.
 
     The truncation is exact at every downset: every factor has coefficient
     1 at its doubled top exponent, which is 2(w - 1) for an element of
@@ -480,7 +482,6 @@ def descendant_sum(
     tops = [2 * (_weight(e) - 1) for e in elems]
     trim = lowest is not None
     pair_keys: Dict[Tuple[int, int], Optional[Tuple]] = {}
-    terms: Dict[Tuple, Tuple[Tuple[int, int], ...]] = {}
     # sums are plain {doubled exponent: coefficient} dicts: the same DP on
     # LaurentPoly operations measured slower
     memo: Dict[int, Dict[int, int]] = {full: {0: 1}}
@@ -530,9 +531,7 @@ def descendant_sum(
                          total(after_y, pos + 2, ready_y, cut - tops[x] - tops[y]))
         out = groups.pop(_UNIT, {})
         for key, sub in groups.items():
-            if key not in terms:
-                terms[key] = _factor_terms(key)
-            for e2, v in terms[key]:
+            for e2, v in _factor_terms(key):
                 for f2, w in sub.items():
                     out[e2 + f2] = out.get(e2 + f2, 0) + v * w
         if trim:

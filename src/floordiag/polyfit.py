@@ -35,11 +35,14 @@ class RationalPoly:
         return dict(self.coeffs)
 
     def evaluate(self, point: Sequence[int]) -> Fraction:
+        if len(point) != len(self.variables):
+            raise ValueError("point has %d coordinates, the polynomial %d variables"
+                             % (len(point), len(self.variables)))
         total = Fraction(0)
         for mono, c in self.coeffs:
             term = c
             for x, e in zip(point, mono):
-                term *= Fraction(x) ** e
+                term *= x ** e
             total += term
         return total
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from floordiag.diagram import (
     FloorDiagram,
     _distinct_permutations,
+    _label_orders,
     _labelled,
     _openings,
     _placements,
@@ -19,6 +20,7 @@ from floordiag.diagram import (
     canonical_form,
     canonical_key,
     codegree,
+    codegree_coefficients,
     compositions,
     enumerate_floor_diagrams,
     linear_extensions,
@@ -326,9 +328,9 @@ def test_walks_share_no_state_across_calls():
 
 @pytest.mark.parametrize("abn,genus", [((4, 2, 1), 1), ((8, 3, 2), 2)])
 def test_walk_lists_each_split_once(monkeypatch, abn, genus):
-    # a codegree-2 shape walk on the one label order of Delta_{a,b,n}: the
-    # split table holds one entry per tuple of open elevators, free slots
-    # among them
+    # a codegree-2 shape walk on the one label order of Delta_{a,b,n}: every
+    # split the walk reads comes from the process-wide table, which lists
+    # each tuple of open elevators, free slots among them, once
     calls = []
 
     def counted(items):
@@ -336,9 +338,37 @@ def test_walk_lists_each_split_once(monkeypatch, abn, genus):
         return _splits(items)
 
     monkeypatch.setattr("floordiag.diagram._splits", counted)
+    _splits.cache_clear()
     poly = make_delta_abn(*abn)
     assert run_enumeration_task(poly, genus, poly.d_l, poly.d_r, 2, 2)
-    assert len(calls) == len(set(calls))
+    info = _splits.cache_info()
+    assert info.misses == info.currsize == len(set(calls)) < len(calls)
+    assert info.hits + info.misses == len(calls)
+
+
+@pytest.mark.parametrize("literal,genus", [
+    ("abn:8,3,2", 2), ("ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1", 0)])
+def test_transfer_lists_each_placement_once_per_label_order(monkeypatch, literal, genus):
+    # the codegree transfer at i=2 reads the placements of each (floor,
+    # sources left, sinks left, cost, room) of a label order from one table:
+    # _placements runs once per distinct key of each order
+    orders = []  # per label order, the keys _placements was called with
+
+    def walk_tables(*args):
+        orders.append([])
+        return _walk_tables(*args)
+
+    def counted(walk, *key):
+        orders[-1].append(key)
+        return _placements(walk, *key)
+
+    monkeypatch.setattr("floordiag.diagram._walk_tables", walk_tables)
+    monkeypatch.setattr("floordiag.diagram._placements", counted)
+    poly = parse_polygon(literal)
+    codegree_coefficients(poly, genus, 2)
+    assert len(orders) == len(list(_label_orders(poly, genus, 2))) > 0
+    assert all(len(keys) == len(set(keys)) for keys in orders)
+    assert sum(map(len, orders)) > len(orders)
 
 
 def test_classes_match_dedupe_by_canonical_form():

@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -12,6 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
+import floordiag
 from floordiag import cli, coeff, diagram, invariant, marking
 from floordiag.coeff import coeff_product_of_squares
 from floordiag.diagram import (
@@ -366,9 +369,18 @@ def test_codegree_coeff_lists_no_shape(monkeypatch):
         assert [invariant_codegree_coeff(poly, g, i) for i in range(3)] == values
 
 
-# the tables that every walk and transfer of the process shares
-SHARED_TABLES = (diagram._openings, diagram._transfer_openings,
-                 diagram._transfer_splits, diagram._gap_choices)
+# the tables that every walk, transfer and descendant sum of the process
+# shares
+SHARED_TABLES = (diagram._openings, diagram._splits, diagram._transfer_openings,
+                 diagram._transfer_splits, diagram._gap_choices,
+                 marking._factor_terms)
+# the other process-wide memos of floordiag, and why no order test clears them
+UNSHARED_MEMOS = {
+    "coeff._F": "an integer recursion of its two arguments that only the "
+                "closed form reads; test_coeff checks its values",
+    "polygon.lattice_stats": "the lattice counts of a frozen polygon, which "
+                             "every path reads first; test_polygon checks them",
+}
 
 
 def clear_shared_tables():
@@ -421,6 +433,41 @@ def test_codegree_transfer_is_independent_of_table_order(monkeypatch):
             with pytest.raises(EngineError):
                 codegree_coefficients(poly, g, i)
     assert [codegree_coefficients(poly, g, i) for poly, g, i in cases] == cold
+
+
+def test_descendants_are_independent_of_table_order(monkeypatch):
+    # the mu_S factor terms and the splits are process-wide tables: the
+    # descendants of Delta_4 from empty tables come back after other
+    # polygons, pairings and codegree bounds filled them
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    cases = [(s, None, c) for s in range(lattice_stats(D4).s_max + 1) for c in (None, 1)]
+    cases.append((2, make_pairing([(2, 3), (6, 7)]), None))
+
+    def values(order):
+        return [refined_descendant(D4, s, pairing=S, max_codeg=c).key()
+                for s, S, c in order]
+
+    clear_shared_tables()
+    cold = values(cases)
+    clear_shared_tables()
+    for poly in (D3, make_delta_abn(3, 2, 1), make_delta_d(5)):
+        for s in range(3):
+            refined_descendant(poly, s, max_codeg=2)
+        codegree_coefficients(poly, 0, 2)
+    assert values(cases[::-1]) == cold[::-1]
+
+
+def test_every_process_wide_memo_is_listed():
+    # a new lru_cache table in floordiag must join SHARED_TABLES, and so the
+    # order tests above, or UNSHARED_MEMOS with its reason
+    found = set()
+    for info in pkgutil.iter_modules(floordiag.__path__):
+        module = importlib.import_module("floordiag." + info.name)
+        found.update("%s.%s" % (info.name, name) for name, value in vars(module).items()
+                     if hasattr(value, "cache_info") and value.__module__ == module.__name__)
+    shared = {"%s.%s" % (t.__module__.rpartition(".")[2], t.__name__) for t in SHARED_TABLES}
+    assert found == shared | set(UNSHARED_MEMOS)
+    assert not shared & set(UNSHARED_MEMOS)
 
 
 def pinned_transfer_cases():

@@ -150,6 +150,15 @@ def test_rational_poly_render():
     assert RationalPoly.from_dict(("a",), {}).render() == "0"
 
 
+def test_rational_poly_evaluate_needs_one_coordinate_per_variable():
+    poly = RationalPoly.from_dict(("a", "b"), {(1, 0): Fraction(1), (0, 1): Fraction(1)})
+    assert poly.evaluate((3, 4)) == 7
+    assert poly.evaluate((Fraction(1, 2), -1)) == Fraction(-1, 2)
+    for point in [(3,), (3, 4, 5), ()]:
+        with pytest.raises(ValueError, match="%d coordinates, the polynomial 2 " % len(point)):
+            poly.evaluate(point)
+
+
 def test_descendant_coefficients_have_constant_ith_derivative():
     """For polygons with 2i <= d_b + 1 (or +2 in the rectangle-like family),
     the i-th discrete derivative of s -> coef_i G(0;s) is constantly 2^i."""
