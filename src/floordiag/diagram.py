@@ -798,7 +798,9 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
     Over the labelled shapes L of codegree <= i, coef_k G_Delta(g) sums
     assignments(L) * ext(L) * coef_{k - codeg(L)} prod [w]^2, where ext(L)
     counts the reduced linear extensions that keep the floors in label
-    order (marking.count_in_label_order).  Every factor is local to one
+    order.  The tests' oracle, marking.count_in_label_order, counts them
+    by the class path's downset DP with the floors chained, not by these
+    gap factors.  Every factor is local to one
     floor or one gap, so the walk goes up level by level, with the
     placements and cuts of _placements, and merges the nodes whose futures
     agree.  A state after gap j-1 is

@@ -14,12 +14,12 @@ lists the automorphisms itself, to check that they act freely.
 reduced_poset lists the elements and their cover predecessors in one
 pass; iter_reduced_extensions maps the orders of that poset that
 diagram.linear_extensions lists to its elements, and descendant_sum
-walks its downsets.  count_reduced_extensions builds its own, smaller
-masks and leaves the sources out of its downset DP: they are minimal and
-each lies under one floor.  When floor v is placed after m elements of
-the DP and after the S sources of the floors placed before it, its s_v
-sources, in their fixed order, go into that prefix in C(m + S + s_v, s_v)
-ways.
+walks its downsets.  The extension counts build their own, smaller
+masks (_extension_masks) and leave the sources out of the downset DP
+(_count_downsets): they are minimal and each lies under one floor.  When
+floor v is placed after m elements of the DP and after the S sources of
+the floors placed before it, its s_v sources, in their fixed order, go
+into that prefix in C(m + S + s_v, s_v) ways.
 That DP is a forward pass, one downset size at a time: each downset
 carries its count of extensions, its ready elements and the sources of
 its floors.
@@ -44,31 +44,16 @@ A marking orders the floors, and relabelling the diagram by that order
 gives one of its labellings.  So the marked classes of a diagram are also
 counted, without automorphisms, by summing over its distinct labellings
 the reduced extensions that keep the floors in label order:
-count_in_label_order(diagram).  With the floors fixed in order, that
-count is a transfer over the gaps between them, not a downset DP.  Gap j
-lies between floors j and j + 1, gap a - 1 above the top floor.  Elevator (u, v, w) lies in gaps u..v-1 and a sink of floor v
-in gaps v..a-1; an element with one gap is forced, the others are
-flexible.  The count sums, over the assignments of these elements to
-gaps, the product of k_j! over the gaps (k_j elements in gap j), times
-the source binomials above (the prefix below floor v holds v floors, the
-elements of the gaps below it and the sources of the floors below it),
-divided by c! per group of c equal elevators and t! for the t sinks of a
-floor.  The walk up the gaps keeps only the flexible elements still
-pending, counted per deadline (the last gap they may sit in): at gap j
-it takes all of deadline j and any number x_d of the p_d of each later
-deadline d, in C(p_d, x_d) ways, and the gap's elements order in
-(f_j + sum x)! ways, f_j its forced elements.  Forced elements never
-enter the table, so a gap with nothing pending and nothing new only
-multiplies by f_j!.  The codegree path carries the same factors up the
-floor walk's states (diagram.codegree_coefficients) and lists no shape;
-this count, summed over the labelled shapes, is the tests' oracle for it.
+count_in_label_order(diagram), the same downset DP with each floor set
+above the one before it.  Summed over the labelled shapes, it is the
+tests' oracle for the codegree transfer (diagram.codegree_coefficients),
+which carries its own factors up the floor walk and lists no shape.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial
+from math import comb
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .diagram import FloorDiagram, linear_extensions, vertex_automorphisms
@@ -131,13 +116,13 @@ def _successors(preds: Sequence[int]) -> List[List[Tuple[int, int]]]:
     return succs
 
 
-def count_reduced_extensions(diagram: FloorDiagram) -> int:
-    """Number of reduced linear extensions, by a forward pass over the
-    downsets of the floors, elevators and sinks; see the module docstring."""
+def _extension_masks(diagram: FloorDiagram) -> Tuple[List[int], List[int]]:
+    """Per element of the floors, elevators and sinks, the bitmask of its
+    cover predecessors and its number of sources.  Elements 0..a-1 are the
+    floors, then the elevators, then the sinks; copies of one elevator, and
+    the sinks of one floor, keep a fixed order.  The sources are left out:
+    they are minimal and each lies under one floor."""
     a = diagram.n_floors
-    sources = [f[2] for f in diagram.floors]
-    # elements 0..a-1 are the floors, then the elevators, then the sinks;
-    # copies of one elevator, and the sinks of one floor, keep a fixed order
     preds = [0] * a
     previous = None
     for k, e in enumerate(diagram.elevators, a):
@@ -147,8 +132,15 @@ def count_reduced_extensions(diagram: FloorDiagram) -> int:
     for v, (_, _, _, t) in enumerate(diagram.floors):
         for c in range(t):
             preds.append(1 << (len(preds) - 1 if c else v))
+    sources = [f[2] for f in diagram.floors] + [0] * (len(preds) - a)
+    return preds, sources
+
+
+def _count_downsets(preds: Sequence[int], sources: Sequence[int]) -> int:
+    """Linear extensions of the poset of preds, with sources[k] sources in a
+    fixed order under element k, by a forward pass over the downsets; see
+    the module docstring."""
     n = len(preds)
-    sources += [0] * (n - a)
     succs = _successors(preds)
     # the downsets of m elements: placed -> [extensions of placed, its ready
     # elements, the sources of its floors]
@@ -177,78 +169,19 @@ def count_reduced_extensions(diagram: FloorDiagram) -> int:
     return level[(1 << n) - 1][0]
 
 
+def count_reduced_extensions(diagram: FloorDiagram) -> int:
+    """Number of reduced linear extensions, by a forward pass over the
+    downsets of the floors, elevators and sinks; see the module docstring."""
+    return _count_downsets(*_extension_masks(diagram))
+
+
 def count_in_label_order(diagram: FloorDiagram) -> int:
-    """Reduced linear extensions that place the floors in label order: a
-    transfer over the gaps between consecutive floors; see the module
-    docstring."""
-    a = diagram.n_floors
-    floors = diagram.floors
-    # gap j lies between floors j and j + 1, gap a - 1 above the top floor;
-    # per gap: its forced elements, and the deadline gaps of the flexible
-    # elements that may first sit in it
-    forced = [0] * a
-    starts: List[List[int]] = [[] for _ in range(a)]
-    groups = 1
-    previous, c = None, 0
-    for e in diagram.elevators:
-        if e[1] == e[0] + 1:
-            forced[e[0]] += 1
-        else:
-            starts[e[0]].append(e[1] - 1)
-        c = c + 1 if e == previous else 1
-        groups *= c
-        previous = e
-    for v, (_, _, _, t) in enumerate(floors):
-        if v == a - 1:
-            forced[v] += t
-        else:
-            starts[v] += [a - 1] * t
-        groups *= factorial(t)
-    # pending flexible elements, counted per deadline gap -> weight; while
-    # none is pending, the one weight is ways and table is None
-    none = (0,) * a
-    ways, table = 1, None
-    # the elements begun in the gaps below gap j, and the sources of the
-    # floors below floor j
-    started = below = 0
-    for j, new in enumerate(starts):
-        s = floors[j][2]
-        f = forced[j]
-        # floor j: its sources go into the prefix below it, of j floors,
-        # the elements placed in earlier gaps and the sources below
-        base = j + started + below
-        started += f + len(new)
-        below += s
-        if table is None:
-            if not new:
-                ways *= comb(base + s, s) * factorial(f) if s else factorial(f)
-                continue
-            table = {none: ways}
-        after: Dict[Tuple[int, ...], int] = {}
-        for pending, more in table.items():
-            if s:
-                more *= comb(base - sum(pending) + s, s)
-            counts = list(pending)
-            for d in new:
-                counts[d] += 1
-            # all of deadline j, and any number of each later deadline
-            due = f + counts[j]
-            counts[j] = 0
-            later = [d for d in range(j + 1, a) if counts[d]]
-            for xs in product(*[range(counts[d] + 1) for d in later]):
-                term = more * factorial(due + sum(xs))
-                left = counts[:]
-                for d, x in zip(later, xs):
-                    if x:
-                        term *= comb(counts[d], x)
-                        left[d] -= x
-                key = tuple(left)
-                after[key] = after.get(key, 0) + term
-        if len(after) == 1 and none in after:  # always so after the top gap
-            ways, table = after[none], None
-        else:
-            table = after
-    return ways // groups
+    """Reduced linear extensions that place the floors in label order: the
+    same downset DP with each floor above the one before it."""
+    preds, sources = _extension_masks(diagram)
+    for v in range(1, diagram.n_floors):
+        preds[v] |= 1 << (v - 1)
+    return _count_downsets(preds, sources)
 
 
 def _induced_element_map(perm: Sequence[int]):

@@ -112,7 +112,7 @@ def _newton_monomials(xs: Sequence[int], ys: Sequence[Fraction]) -> List[Fractio
 class FitReport:
     name: str
     passed: bool
-    polynomial: Optional[RationalPoly]
+    polynomial: RationalPoly
     degrees: Dict[str, int] = field(default_factory=dict)
     expected_degrees: Dict[str, int] = field(default_factory=dict)
     region: Dict[str, List[int]] = field(default_factory=dict)
@@ -122,7 +122,7 @@ class FitReport:
         return {
             "name": self.name,
             "passed": self.passed,
-            "polynomial": self.polynomial.to_json() if self.polynomial else None,
+            "polynomial": self.polynomial.to_json(),
             "degrees": self.degrees,
             "expected_degrees": self.expected_degrees,
             "region": self.region,
@@ -176,15 +176,14 @@ def verify_polynomiality(
 
     Each axis needs degrees[v] + 2 distinct points: one extra point per
     axis beyond the claimed degree, so the degree claim itself is tested.
+    A shorter axis, like a repeated value, raises ValueError: nothing is
+    verified.
     """
     names = tuple(box.keys())
     for v in names:
         if len(box[v]) < degrees[v] + 2:
-            return FitReport(
-                name, False, None,
-                details=["axis %s needs %d points for degree %d" % (v, degrees[v] + 2, degrees[v])],
-                region={k: list(vv) for k, vv in box.items()},
-            )
+            raise ValueError("axis %s needs %d points for degree %d, got %d"
+                             % (v, degrees[v] + 2, degrees[v], len(box[v])))
     fitted, grid = _fit_with_grid(sampler, box)
     got_degrees = {v: fitted.degree_in(d) for d, v in enumerate(names)}
     details = []

@@ -285,6 +285,15 @@ def test_fit_s_needs_genus_zero(capsys):
     assert "grid sets s, which this command does not take (it takes a, b, n)" in err
 
 
+def test_fit_grid_too_small_for_the_degree_is_usage_error(capsys):
+    # genus 1, i 0: degree 2 in a needs 4 points; nothing is verified
+    code, out, err = run(capsys, "fit", "--i", "0", "--genus", "1",
+                         "--grid", "a=3..5,b=2..4,n=1..3")
+    assert code == 2
+    assert out == ""
+    assert "error: axis a needs 4 points for degree 2, got 3" in err
+
+
 def test_readme_commands_exit_zero(capsys, monkeypatch):
     monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
     block = (ROOT / "README.md").read_text().split("## Command line")[1].split("```")[1]

@@ -8,6 +8,7 @@ from floordiag import marking
 from floordiag.diagram import (
     FloorDiagram,
     _labelled,
+    _relabellings,
     enumerate_floor_diagrams,
     mult,
     validate,
@@ -142,8 +143,8 @@ def test_labelled_extensions_match_oracle_on_random_polygons(polygon, genus):
         assert count_in_label_order(d) == oracle, d
 
 
-# past the oracle's cap: the gap transfer over the labellings against the
-# downset DP over the classes, on a polygon with many labellings and on
+# past the oracle's cap: the label-order counts over the labellings against
+# the class counts, on a polygon with many labellings and on
 # turned polygons, whose labelled diagrams have sinks below the top floor
 @pytest.mark.parametrize("literal, turned, max_genus", [
     ("abn:6,0,1", False, 2), ("abn:4,1,2", True, 2), ("abn:4,2,1", True, 2), (MIXED, True, 1)])
@@ -157,6 +158,18 @@ def test_labelled_extensions_share_out_the_marked_classes(literal, turned, max_g
         classes = sum(count_markings(d, auts)
                       for d, auts in enumerate_floor_diagrams(polygon, g).items())
         assert labelled == classes, g
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_polygons(), st.integers(0, 1))
+def test_label_orders_share_out_each_diagram(polygon, genus):
+    # every reduced extension keeps the floors in one topological order, so
+    # the label-order counts of a diagram's relabellings, one per order, sum
+    # to its reduced extension count
+    for d in enumerate_floor_diagrams(polygon, genus):
+        labelled = sum(count_in_label_order(FloorDiagram(*key))
+                       for _, key in _relabellings(d))
+        assert labelled == count_reduced_extensions(d), d
 
 
 def test_markings_increasing():
