@@ -195,7 +195,7 @@ def cmd_cache(args) -> int:
         print(base if base else "(caching disabled)")
     elif args.action == "info":
         if base and base.is_dir():
-            files = list(base.glob("*.json"))
+            files = inv._cache_files(base, inv._ENTRY)
             print("%d cached results in %s" % (len(files), base))
         else:
             print("cache empty (%s)" % (base if base else "disabled"))

@@ -346,38 +346,42 @@ def bounded_vectors(costs: Sequence[int], budget: int) -> Iterator[Tuple[int, ..
 
 
 @lru_cache(maxsize=None)
-def _splits(items: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[Tuple, Tuple, int], ...]:
-    """Every split of a sorted tuple of (origin, weight) pairs into two
-    sorted sub-multisets (closed, still_open), with the weight kept open;
-    one table for the process, read by the listing walk and the transfer."""
+def _splits(items: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[Tuple, Tuple, int, int], ...]:
+    """Every split of a sorted tuple of (key, weight) pairs into sorted
+    sub-multisets (closed, still_open), with the weight kept open and the
+    ways to pick closed, prod C(copies, taken): the one sub-multiset
+    enumeration of the process, read by both walks and the gap choices."""
     groups = [(k, len(list(g))) for k, g in itertools.groupby(items)]
 
     def rec(idx):
         if idx == len(groups):
-            yield (), ()
+            yield (), (), 1
             return
         key, mult = groups[idx]
-        for closed, still_open in rec(idx + 1):
+        for closed, still_open, ways in rec(idx + 1):
             for take in range(mult + 1):
-                yield (key,) * take + closed, (key,) * (mult - take) + still_open
+                yield ((key,) * take + closed, (key,) * (mult - take) + still_open,
+                       ways * comb(mult, take))
 
-    return tuple((closed, still_open, sum(w for _, w in still_open))
-                 for closed, still_open in rec(0))
+    return tuple((closed, still_open, sum(w for _, w in still_open), ways)
+                 for closed, still_open, ways in rec(0))
 
 
 @lru_cache(maxsize=None)
 def _openings(
     total: int, least: int, cap: int, free_above: Optional[int]
-) -> Tuple[Tuple[Tuple[int, ...], int, int], ...]:
+) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int, int, Tuple[int, ...]], ...]:
     """Ways to open between `least` and `cap` elevators, free slots
-    included, carrying `total` >= 0 out of a floor.
+    included, carrying `total` >= 0 out of a floor, in one table for the
+    process that both walks read.
 
-    Gives (explicit weights, free slots, assignments) per opening, in one
-    table for the process.  Weights above `free_above` go to free slots,
-    whose ordered weight assignments are counted rather than listed;
-    free_above=None keeps every weight explicit, as no weight exceeds
-    `total`.  A total of 0 has only the empty opening ((), 0, 1), when
-    least is 0.
+    Gives (explicit weights, free slots, assignments, labellings, heavy)
+    per opening.  Weights above `free_above` go to free slots of weight
+    free_above+1, whose ordered weight assignments are counted rather than
+    listed; free_above=None keeps every weight explicit.  labellings is
+    n! / prod c_w! for the n weights opened, c_w of them equal to w, and
+    heavy lists the weights above 1.  A total of 0 has only the empty
+    opening, when least is 0.
     """
     hi = total if free_above is None else free_above
     found = []
@@ -392,10 +396,17 @@ def _openings(
                 for k in range(1, min(cap, free // (hi + 1)) + 1)
             ]
         for k_free, ways in frees:
+            slots = (hi + 1,) * k_free
             for k in range(max(least - k_free, 1 if explicit else 0),
                            min(cap - k_free, explicit) + 1):
-                found.extend((weights, k_free, ways)
-                             for weights in compositions(explicit, k, hi))
+                for weights in compositions(explicit, k, hi):
+                    labels, opened = 1, 0
+                    for _, group in itertools.groupby(weights + slots):
+                        c = len(list(group))
+                        opened += c
+                        labels *= comb(opened, c)
+                    found.append((weights, slots, ways, labels,
+                                  tuple(w for w in weights + slots if w > 1)))
     return tuple(found)
 
 
@@ -516,8 +527,10 @@ def run_enumeration_task(
     genus are cut where they appear, and the top floor must join every
     component left.  Tables local to the call list, once each, the
     placements of every (floor, sources left, sinks left, cost, room) and
-    the openings of every (floor, total, least, cap), from the process-wide
-    _openings; the splits come from the process-wide _splits.  _openings
+    the openings of every (floor, total, least, cap) as (floor, weight)
+    pairs, from the process-wide _openings, free slots among them.  The
+    splits come from the process-wide _splits, whose ways the walk leaves
+    unread: equal open elevators are one multiset in a diagram.  _openings
     alone decides how many elevators a floor opens, none included, and a
     split it gives no opening is cut.
 
@@ -539,7 +552,6 @@ def run_enumeration_task(
     found: List[Tuple[FloorDiagram, int, int]] = []
 
     srcs, snks = [0] * a, [0] * a  # sources and sinks of the floors below j
-    slot = None if free_above is None else free_above + 1  # free-slot weight
     # one copy of each floor list and elevator, shared by the diagrams found
     shared: Dict[Tuple, Tuple] = {}
     # the openings of each (floor, total, least, cap) as the (floor, weight)
@@ -574,7 +586,7 @@ def run_enumeration_task(
         for s, t, here, flow, least, must_open in placement_table[
                 j, src_left, snk_left, spent, room]:
             srcs[j], snks[j] = s, t
-            for closed, still_open, kept in splits:
+            for closed, still_open, kept, _ in splits:
                 out_total = flow - kept
                 if out_total < 0 or least + kept > bound:
                     continue
@@ -583,8 +595,8 @@ def run_enumeration_task(
                 openings = opening_table.get(key)
                 if openings is None:
                     openings = opening_table[key] = [
-                        (tuple((j, w) for w in weights) + ((j, slot),) * k_free, ways)
-                        for weights, k_free, ways
+                        (tuple((j, w) for w in weights + free), ways)
+                        for weights, free, ways, _, _
                         in _openings(out_total, must_open, cap, free_above)]
                 if not openings:
                     continue
@@ -711,29 +723,9 @@ def _exact_quotient(num: int, den: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _transfer_openings(total: int, least: int, cap: int, i: int) -> Tuple[Tuple, ...]:
-    """_openings(total, least, cap, i) as the transfer reads them: (weights,
-    free slots, labellings times assignments, elevators opened, heavy), the
-    n! / prod c_w! labellings of n opened elevators, c_w of weight w, and
-    heavy the weights above 1, free slots of weight i+1 among them."""
-    slot = i + 1
-    found = []
-    for weights, k_free, ways in _openings(total, least, cap, i):
-        free = (slot,) * k_free
-        labels, opened = ways, 0
-        for _, group in itertools.groupby(weights + free):
-            c = len(list(group))
-            opened += c
-            labels *= comb(opened, c)
-        found.append((weights, free, labels, opened,
-                      tuple(w for w in weights + free if w > 1)))
-    return tuple(found)
-
-
-@lru_cache(maxsize=None)
 def _transfer_splits(comps: Tuple, i: int) -> Tuple[int, int, Tuple[Tuple, ...]]:
     """(placed elevators, pending ones, splits) of a components tuple; per
-    split of the placed ones: (weight and number kept open, pending
+    _splits entry of the placed ones: (weight and number kept open, pending
     included; ways; cycles added; untouched components; placed and pending
     elevators left to floor j's component).  Free slots (i+1) all close."""
     slot = i + 1
@@ -743,10 +735,7 @@ def _transfer_splits(comps: Tuple, i: int) -> Tuple[int, int, Tuple[Tuple, ...]]
                  for w in placed if w == slot)
     held = [w for _, pending in comps for w in pending]
     found = []
-    for closed, still_open, kept in _splits(items):
-        ways = 1
-        for item, group in itertools.groupby(closed):
-            ways *= comb(items.count(item), len(list(group)))
+    for closed, still_open, kept, ways in _splits(items):
         closed += free
         joined = {c for c, _ in closed}
         left: List[List[int]] = [[] for _ in comps]
@@ -764,28 +753,16 @@ def _transfer_splits(comps: Tuple, i: int) -> Tuple[int, int, Tuple[Tuple, ...]]
 @lru_cache(maxsize=None)
 def _gap_choices(comps: Tuple, i: int) -> Tuple[Tuple[int, int, Tuple], ...]:
     """(elements placed, ways, components after) for every choice of the
-    pending elevators of a components tuple to place in a gap; the free
-    slots, of weight i+1, of the floor below are placed already."""
-    per_comp = []
-    for placed, pending in comps:
-        groups = [(w, len(list(g))) for w, g in itertools.groupby(pending)]
-        options = []
-        for xs in itertools.product(*[range(q + 1) for _, q in groups]):
-            ways, now, later = 1, list(placed), []
-            for (w, q), x in zip(groups, xs):
-                ways *= comb(q, x)
-                now += [w] * x
-                later += [w] * (q - x)
-            options.append((sum(xs), ways, (tuple(sorted(now)), tuple(later))))
-        per_comp.append(options)
+    pending elevators of a components tuple to place in a gap: the _splits
+    of the pending (component, weight) items, the closed part placed.  The
+    free slots, of weight i+1, of the floor below are placed already."""
+    items = tuple((c, w) for c, (_, pending) in enumerate(comps) for w in pending)
     forced = sum(placed.count(i + 1) for placed, _ in comps)
     found = []
-    for choice in itertools.product(*per_comp):
-        k, ways = forced, 1
-        for x, w, _ in choice:
-            k += x
-            ways *= w
-        found.append((k, ways, tuple(sorted(comp for _, _, comp in choice))))
+    for now, later, _, ways in _splits(items):
+        after = ((tuple(sorted(placed + tuple(w for d, w in now if d == c))),
+                  tuple(w for d, w in later if d == c)) for c, (placed, _) in enumerate(comps))
+        found.append((forced + len(now), ways, tuple(sorted(after))))
     return tuple(found)
 
 
@@ -840,11 +817,12 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
     (a-1+g)! d_t!, the labellings of the elevators and the sinks, and the
     division is checked to be exact.  Coefficient k reads the top level:
     a state of codegree c adds its coefficient k - c.  The openings,
-    splits and gap choices depend on their key and i alone
-    (_transfer_openings, _transfer_splits, _gap_choices), so every call of
-    the process shares them.  The factorials, [w]^2 and the truncated
-    product of [w]^2 over each opening's heavy weights stay per call, and
-    the placements (_PlacementTable) per label order.
+    splits and gap choices depend on their key and i alone (_openings,
+    which the listing walk reads too, and _transfer_splits and
+    _gap_choices, both regroupings of _splits), so every call of the
+    process shares them.  The factorials, [w]^2 and the truncated product
+    of [w]^2 over each opening's heavy weights stay per call, and the
+    placements (_PlacementTable) per label order.
     """
     n_coeffs = i + 1
     total = [0] * n_coeffs
@@ -884,18 +862,19 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
                         if new_cycles > genus:
                             continue
                         cap = min(room, 1 + genus + bound - least - n_kept)
-                        opened_list = _transfer_openings(out_total, must_open, cap, i)
                         # the coefficients a state of this spent can still reach
                         n = n_coeffs - (least + kept)
                         head = (src_left - s, snk_left - t, here + kept, new_cycles)
                         ways *= placing
-                        for weights, free, labels, opened, heavy in opened_list:
+                        for weights, free, assign, labels, heavy in _openings(
+                                out_total, must_open, cap, i):
                             # floor j joins the components it closes from; with
                             # nothing open above it, it is cut off from the top
                             mine = (placed + free, tuple(sorted(pending + weights)))
                             if mine == ((), ()):
                                 continue
-                            scale = ways * labels * comb(opened_before + opened, opened)
+                            opened = len(weights) + len(free)
+                            scale = ways * assign * labels * comb(opened_before + opened, opened)
                             part = sums
                             if n > 1 and heavy:  # each [w]^2 has constant term 1
                                 factor = heavy_products.get(heavy)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,13 +60,24 @@ def cache_dir() -> Optional[Path]:
     return Path.home() / ".cache" / "floordiag"
 
 
+# A cache file is named by 32 hex digits of its key's sha256 and _ENTRY, or
+# _PARTIAL and the writer's pid for a write under way; no other file is.
+_ENTRY, _PARTIAL = ".json", ".tmp"
+_CACHE_NAME = re.compile(r"[0-9a-f]{32}(%s|%s[0-9]+)" % (re.escape(_ENTRY), re.escape(_PARTIAL)))
+
+
+def _cache_files(base: Path, suffix: str) -> List[Path]:
+    """The files in base that _CACHE_NAME names with suffix _ENTRY or _PARTIAL."""
+    return [f for f in base.iterdir() if (m := _CACHE_NAME.fullmatch(f.name))
+            and m[1].startswith(suffix) and f.is_file()]
+
+
 def _cache_path(kind: str, polygon: HTransversePolygon, params: str) -> Optional[Path]:
     base = cache_dir()
     if base is None:
         return None
     token = "|".join((ALGO_VERSION, kind, polygon.key(), params))
-    name = hashlib.sha256(token.encode()).hexdigest()[:32] + ".json"
-    return base / name
+    return base / (hashlib.sha256(token.encode()).hexdigest()[:32] + _ENTRY)
 
 
 def _cached(
@@ -91,7 +103,7 @@ def _cached(
     value = compute()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp%d" % os.getpid())
+        tmp = path.with_suffix(_PARTIAL + str(os.getpid()))
         tmp.write_text(json.dumps(value.to_json()))
         tmp.replace(path)
     except OSError:
@@ -105,13 +117,12 @@ def clear_cache() -> int:
     base = cache_dir()
     if base is None or not base.is_dir():
         return 0
-    for f in base.glob("*.tmp*"):
+    for f in _cache_files(base, _PARTIAL):
         f.unlink(missing_ok=True)
-    n = 0
-    for f in base.glob("*.json"):
+    entries = _cache_files(base, _ENTRY)
+    for f in entries:
         f.unlink()
-        n += 1
-    return n
+    return len(entries)
 
 
 def _pairing_token(pairing: Pairing) -> str:

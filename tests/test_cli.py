@@ -329,8 +329,25 @@ def test_cache_clear_removes_interrupted_writes(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("FLOORDIAG_CACHE_DIR", str(tmp_path))
     code, out, _ = run(capsys, "invariant", "--polygon", "abn:3,0,1", "--genus", "0")
     assert code == 0 and len(list(tmp_path.glob("*.json"))) == 1
-    (tmp_path / "0123abcd.tmp4242").write_text("{")
+    (tmp_path / ("0123abcd" * 4 + ".tmp4242")).write_text("{")
     code, out, _ = run(capsys, "cache", "clear")
     assert code == 0
     assert out.strip() == "removed 1 cached results"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_commands_leave_foreign_files_alone(capsys, monkeypatch, tmp_path):
+    # only <32 hex>.json entries and <32 hex>.tmp<pid> writes are the cache's
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", str(tmp_path))
+    code, _, _ = run(capsys, "invariant", "--polygon", "abn:3,0,1", "--genus", "0")
+    assert code == 0
+    foreign = {"notes.json", "x.tmp1", "0123abcd.json", "0123ABCD" * 4 + ".json"}
+    for name in foreign:
+        (tmp_path / name).write_text("{}")
+    (tmp_path / ("4567cdef" * 4 + ".json")).mkdir()  # a directory is no entry
+    foreign.add("4567cdef" * 4 + ".json")
+    code, out, _ = run(capsys, "cache", "info")
+    assert code == 0 and out.startswith("1 cached results in ")
+    code, out, _ = run(capsys, "cache", "clear")
+    assert code == 0 and out.strip() == "removed 1 cached results"
+    assert {f.name for f in tmp_path.iterdir()} == foreign

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from floordiag.diagram import (
     FloorDiagram,
     _distinct_permutations,
+    _gap_choices,
     _label_orders,
     _labelled,
     _openings,
     _placements,
     _search_bound,
     _splits,
+    _transfer_splits,
     _walk_tables,
     automorphism_count,
     canonical_form,
@@ -254,14 +256,17 @@ def test_placements_are_the_brute_force_placements(poly, genus, max_codeg, data)
     ((0, 2), (1, 1), (1, 3), (1, 3), (2, 1), (2, 1), (2, 1)),
 ])
 def test_splits_are_the_sub_multiset_splits(items):
-    brute = set()
+    # each split once, with its ways: the index subsets of items that close it
+    brute = {}
     for mask in range(1 << len(items)):
         closed = tuple(e for k, e in enumerate(items) if mask >> k & 1)
         still_open = tuple(e for k, e in enumerate(items) if not mask >> k & 1)
-        brute.add((closed, still_open, sum(w for _, w in still_open)))
+        split = (closed, still_open, sum(w for _, w in still_open))
+        brute[split] = brute.get(split, 0) + 1
     splits = _splits(items)
     assert len(splits) == len(set(splits))
-    assert set(splits) == brute
+    ways = {split[:3]: split[3] for split in splits}
+    assert len(ways) == len(splits) and ways == brute
 
 
 @pytest.mark.parametrize("free_above", [None, 1, 2])
@@ -269,16 +274,18 @@ def test_openings_of_a_zero_total(free_above):
     # the walk asks _openings also when a split closes everything: it must
     # give the empty opening exactly when the floor need open nothing
     for cap in range(4):
-        assert list(_openings(0, 0, cap, free_above)) == [((), 0, 1)]
+        assert list(_openings(0, 0, cap, free_above)) == [((), (), 1, 1, ())]
         for least in range(1, 4):
             assert list(_openings(0, least, cap, free_above)) == []
 
 
 def test_openings_without_free_slots_are_the_compositions():
+    # labellings: the distinct orders of the weights opened
     for total in range(7):
         for least in range(4):
             for cap in range(5):
-                want = [(weights, 0, 1)
+                want = [(weights, (), 1, len(set(itertools.permutations(weights))),
+                         tuple(w for w in weights if w > 1))
                         for k in range(max(least, 1 if total else 0), min(cap, total) + 1)
                         for weights in compositions(total, k)]
                 assert list(_openings(total, least, cap, None)) == want
@@ -324,6 +331,68 @@ def test_walks_share_no_state_across_calls():
         assert any(assign > 1 for _, assign, _ in shapes)
     assert {r: walk(*r) for r in reversed(runs)} == first
     assert {r: walk(*r) for r in runs} == first
+
+
+def brute_gap_choices(comps, i):
+    # {(elements placed, components after): index subsets of the pending
+    # elevators placed}; the free slots (weight i + 1) count as placed
+    pending = [(c, w) for c, (_, waiting) in enumerate(comps) for w in waiting]
+    forced = sum(placed.count(i + 1) for placed, _ in comps)
+    counts = {}
+    for mask in range(1 << len(pending)):
+        now = [[] for _ in comps]
+        later = [[] for _ in comps]
+        for k, (c, w) in enumerate(pending):
+            (now if mask >> k & 1 else later)[c].append(w)
+        after = tuple(sorted((tuple(sorted(placed + tuple(now[c]))), tuple(later[c]))
+                             for c, (placed, _) in enumerate(comps)))
+        key = (forced + bin(mask).count("1"), after)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def assert_transfer_choices_match_brute_force(comps, i):
+    choices = {}
+    for k, ways, after in _gap_choices(comps, i):
+        choices[k, after] = choices.get((k, after), 0) + ways
+    assert choices == brute_gap_choices(comps, i)
+    # every placed elevator but a free slot closes or stays open
+    n_placed, n_pending, splits = _transfer_splits(comps, i)
+    assert n_placed == sum(len(placed) for placed, _ in comps)
+    assert n_pending == sum(len(waiting) for _, waiting in comps)
+    explicit = sum(w != i + 1 for placed, _ in comps for w in placed)
+    assert sum(ways for _, _, ways, _, _, _, _ in splits) == 2 ** explicit
+
+
+@pytest.mark.parametrize("comps,i", [
+    ((), 1),
+    ((((1,), ()),), 1),
+    ((((), (1, 1, 1)),), 1),
+    ((((1, 1), (1, 2)), ((3,), (2, 2, 2))), 2),
+    ((((), (1, 1)), ((2,), (1,)), ((4, 4), (1, 3, 3))), 3),
+    ((((1, 2), (2,)), ((1, 2), (2,))), 2),
+])
+def test_transfer_choices_match_brute_force(comps, i):
+    assert_transfer_choices_match_brute_force(comps, i)
+
+
+@st.composite
+def component_tuples(draw):
+    # (placed, pending) per component, sorted: placed weights up to the
+    # free-slot weight i + 1, pending ones explicit (at most i)
+    i = draw(st.integers(0, 3))
+    comps = draw(st.lists(st.tuples(
+        st.lists(st.integers(1, i + 1), max_size=3).map(lambda ws: tuple(sorted(ws))),
+        st.lists(st.integers(1, max(i, 1)), max_size=3 if i else 0).map(
+            lambda ws: tuple(sorted(ws)))),
+        max_size=3))
+    return tuple(sorted(comps)), i
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_tuples())
+def test_transfer_choices_match_brute_force_on_random_components(case):
+    assert_transfer_choices_match_brute_force(*case)
 
 
 @pytest.mark.parametrize("abn,genus", [((4, 2, 1), 1), ((8, 3, 2), 2)])

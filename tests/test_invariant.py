@@ -371,9 +371,8 @@ def test_codegree_coeff_lists_no_shape(monkeypatch):
 
 # the tables that every walk, transfer and descendant sum of the process
 # shares
-SHARED_TABLES = (diagram._openings, diagram._splits, diagram._transfer_openings,
-                 diagram._transfer_splits, diagram._gap_choices,
-                 marking._factor_terms)
+SHARED_TABLES = (diagram._openings, diagram._splits, diagram._transfer_splits,
+                 diagram._gap_choices, marking._factor_terms)
 # the other process-wide memos of floordiag, and why no order test clears them
 UNSHARED_MEMOS = {
     "coeff._F": "an integer recursion of its two arguments that only the "
@@ -468,6 +467,41 @@ def test_every_process_wide_memo_is_listed():
     shared = {"%s.%s" % (t.__module__.rpartition(".")[2], t.__name__) for t in SHARED_TABLES}
     assert found == shared | set(UNSHARED_MEMOS)
     assert not shared & set(UNSHARED_MEMOS)
+
+
+def built_from_tuples(value):
+    # tuples nesting ints, strs and None, nothing mutable
+    if type(value) is tuple:
+        return all(built_from_tuples(v) for v in value)
+    return value is None or type(value) in (int, str)
+
+
+def test_shared_table_entries_hold_tuples_only(monkeypatch):
+    # an entry is shared by every later caller of the process, so none may
+    # be a list or another object that a caller could change
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
+    clear_shared_tables()
+    results = {}
+
+    def recorded(table):
+        def call(*args):
+            value = table(*args)
+            results.setdefault(table.__name__, []).append(value)
+            return value
+        return call
+
+    for table in SHARED_TABLES:
+        monkeypatch.setattr(importlib.import_module(table.__module__), table.__name__,
+                            recorded(table))
+    mixed = parse_polygon("ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1")
+    delta_832 = make_delta_abn(8, 3, 2)
+    codegree_coefficients(delta_832, 2, 2)
+    codegree_coefficients(mixed, 0, 3)
+    assert diagram.run_enumeration_task(delta_832, 2, delta_832.d_l, delta_832.d_r, 2, 2)
+    refined_descendant(D4, 2)
+    assert set(results) == {table.__name__ for table in SHARED_TABLES}
+    for name, values in results.items():
+        assert all(built_from_tuples(v) for v in values), name
 
 
 def pinned_transfer_cases():
