@@ -37,10 +37,10 @@ with iota the interior lattice count and E0 the internal elevator set:
 where F_gap is the total weight crossing a gap (forced by the divergence
 constraints once sources and sinks are placed).  The first part depends
 only on the source/sink placement: with every source on floor 0 and every
-sink on the top floor it is _base_codegree, a source on floor m adds m and
-a sink on floor m adds a-1-m.  The second part depends only on elevator
-spans.  Both grow as the walk goes up, which makes them cheap to bound
-during the search.  A search without a codegree limit is bounded by
+sink on the top floor it is the base of _walk_tables, a source on floor m
+adds m and a sink on floor m adds a-1-m.  The second part depends only on
+elevator spans.  Both grow as the walk goes up, which makes them cheap to
+bound during the search.  A search without a codegree limit is bounded by
 iota - genus, since deg >= 0.
 """
 
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from math import comb, factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -97,23 +97,6 @@ class FloorDiagram:
         floor v only through an elevator (v, v + 1)."""
         links = {(i, j) for i, j, _ in self.elevators}
         return all((v, v + 1) in links for v in range(self.n_floors - 1))
-
-    def to_json(self) -> Dict:
-        return {
-            "floors": [
-                {"l": l, "r": r, "sources": s, "sinks": t}
-                for (l, r, s, t) in self.floors
-            ],
-            "elevators": [list(e) for e in self.elevators],
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict) -> "FloorDiagram":
-        floors = tuple(
-            (f["l"], f["r"], f["sources"], f["sinks"]) for f in data["floors"]
-        )
-        elevs = tuple(tuple(e) for e in data["elevators"])
-        return cls(floors, elevs)
 
 
 def mult(diagram: FloorDiagram) -> LaurentPoly:
@@ -410,47 +393,34 @@ def _openings(
     return tuple(found)
 
 
-def _base_codegree(
-    polygon: HTransversePolygon, ls: Sequence[int], rs: Sequence[int], iota: int
-) -> int:
-    """Codegree of the assignment with all sources at the bottom floor and
-    all sinks at the top, were every elevator short: the floor under all
-    further displacement and span costs."""
-    a = polygon.height
-    flow_sum = (a - 1) * polygon.d_b - sum(
-        (a - 1 - m) * (r - l) for m, (l, r) in enumerate(zip(ls, rs))
-    )
-    return iota + a - 1 - flow_sum
-
-
-def _search_bound(
-    polygon: HTransversePolygon, genus: int, max_codeg: Optional[int]
-) -> Tuple[int, int]:
-    """(iota, codegree bound of the search).  Every diagram has
-    codeg = iota - genus - deg <= iota - genus, so that bound is exact."""
-    iota = lattice_stats(polygon).interior
-    bound = iota - genus if max_codeg is None else min(max_codeg, iota - genus)
-    return iota, bound
-
-
 def _walk_tables(
-    polygon: HTransversePolygon, bound: int, iota: int, ls: Sequence[int], rs: Sequence[int]
+    polygon: HTransversePolygon, genus: int, max_codeg: Optional[int],
+    ls: Sequence[int], rs: Sequence[int],
 ) -> Tuple:
     """The walk tuple (a, bound, base, divs, most, in_flows) that
-    _placements reads for the label order (ls, rs): the divergence r - l
-    of each floor, _base_codegree, the edge budget most[j][u], the most
-    elevators floors j+1..a-2 can open when u sinks are left for them, and
-    in_flows[j], the weight entering floor j with every source and no sink
-    below it.  The weight crossing gap k is at most d_b - (d_t - u) -
-    sums[k+1] (every source below it and no further sink), and every
-    elevator, free slots included, carries weight >= 1."""
-    a = polygon.height
+    _placements reads for the label order (ls, rs): the one setup of both
+    walks.  bound is the codegree bound of the search: every diagram has
+    codeg = iota - genus - deg <= iota - genus, so that bound is exact,
+    and max_codeg may lower it.  base is the codegree with every source on
+    floor 0 and every sink on the top floor, were every elevator short:
+    iota + a - 1 less the weight d_b - sums[k+1] crossing each gap k, the
+    floor under all further displacement and span costs.  divs holds the
+    divergence r - l of each floor, most[j][u] the most elevators floors
+    j+1..a-2 can open when u sinks are left for them, and in_flows[j] the
+    weight entering floor j with every source and no sink below it.  The
+    weight crossing gap k is at most d_b - (d_t - u) - sums[k+1] (every
+    source below it and no further sink), and every elevator, free slots
+    included, carries weight >= 1."""
+    a, d_b, d_t = polygon.height, polygon.d_b, polygon.d_t
+    iota = lattice_stats(polygon).interior
+    bound = iota - genus if max_codeg is None else min(max_codeg, iota - genus)
     divs = [r - l for l, r in zip(ls, rs)]
     sums = list(itertools.accumulate(divs, initial=0))
-    most = [[sum(max(0, polygon.d_b - polygon.d_t + u - x) for x in sums[j + 2:a])
-             for u in range(polygon.d_t + 1)] for j in range(a)]
-    in_flows = [polygon.d_b - polygon.d_t - x for x in sums]
-    return a, bound, _base_codegree(polygon, ls, rs, iota), divs, most, in_flows
+    base = iota + a - 1 - sum(d_b - x for x in sums[1:a])
+    most = [[sum(max(0, d_b - d_t + u - x) for x in sums[j + 2:a])
+             for u in range(d_t + 1)] for j in range(a)]
+    in_flows = [d_b - d_t - x for x in sums]
+    return a, bound, base, divs, most, in_flows
 
 
 def _placements(
@@ -462,18 +432,18 @@ def _placements(
     the least codegree of a completion, and must_open the fewest
     elevators floor j may open.  walk is _walk_tables; spent is the
     placement and span cost below floor j, and room the edges still to
-    open.  Both walks read these placements, and each then cuts its
-    splits of the open elevators alike: a split that keeps weight `kept`
-    open in c elevators needs flow >= kept and least + kept <= bound, and
-    floor j opens flow - kept in at most min(room, 1 + genus + bound -
-    least - c) elevators.
+    open.  Both walks read these placements through a functools.cache per
+    label order, and each then cuts its splits of the open elevators
+    alike: a split that keeps weight `kept` open in c elevators needs flow
+    >= kept and least + kept <= bound, and floor j opens flow - kept in at
+    most min(room, 1 + genus + bound - least - c) elevators.
 
     The cuts, stated here once for both walks:
       - the weight entering floor j follows from the sources and sinks
         left, and the weight crossing gap j, flow, must be >= 1: a gap
         nothing crosses disconnects the diagram;
       - a source on floor m costs m and a sink on floor m costs a-1-m on
-        top of _base_codegree, and an elevator kept open across a gap
+        top of the base codegree, and an elevator kept open across a gap
         adds its weight; the least codegree, with every source left over
         placed on floor j+1, must stay within the bound;
       - the a-1+genus edges are budgeted exactly: floors j+1..a-2 open at
@@ -497,19 +467,6 @@ def _placements(
     return found
 
 
-class _PlacementTable(dict):
-    """The _placements of one label order, keyed (floor, sources left,
-    sinks left, cost, room) and listed on first use; both walks read their
-    placements through it."""
-
-    def __init__(self, walk: Tuple):
-        self.walk = walk
-
-    def __missing__(self, key: Tuple[int, int, int, int, int]) -> List[Tuple]:
-        found = self[key] = _placements(self.walk, *key)
-        return found
-
-
 def run_enumeration_task(
     polygon: HTransversePolygon,
     genus: int,
@@ -525,7 +482,7 @@ def run_enumeration_task(
     (_placements, with its cuts), closes open elevators there and opens
     new ones; closed elevators with more independent cycles than the
     genus are cut where they appear, and the top floor must join every
-    component left.  Tables local to the call list, once each, the
+    component left.  Caches local to the call list, once each, the
     placements of every (floor, sources left, sinks left, cost, room) and
     the openings of every (floor, total, least, cap) as (floor, weight)
     pairs, from the process-wide _openings, free slots among them.  The
@@ -543,21 +500,22 @@ def run_enumeration_task(
     the same codegree-i term, so every diagram of codegree <= i belongs to
     exactly one shape.
     """
-    iota, bound = _search_bound(polygon, genus, max_codeg)
-    a = polygon.height
-    walk = _walk_tables(polygon, bound, iota, ls, rs)
-    base = walk[2]
-    placement_table = _PlacementTable(walk)
+    walk = _walk_tables(polygon, genus, max_codeg, ls, rs)
+    a, bound, base = walk[:3]
+    placements = cache(partial(_placements, walk))
     target_edges = a - 1 + genus
     found: List[Tuple[FloorDiagram, int, int]] = []
 
     srcs, snks = [0] * a, [0] * a  # sources and sinks of the floors below j
     # one copy of each floor list and elevator, shared by the diagrams found
     shared: Dict[Tuple, Tuple] = {}
-    # the openings of each (floor, total, least, cap) as the (floor, weight)
-    # pairs opened (faster than a floor-free key), listed on first use and
-    # read by every later node
-    opening_table: Dict[Tuple[int, int, int, int], List[Tuple[Tuple, int]]] = {}
+
+    @cache
+    def openings_of(j, total, least, cap):
+        # the openings as the (floor, weight) pairs opened (faster than a
+        # floor-free key), with their assignments
+        return [(tuple((j, w) for w in weights + free), ways)
+                for weights, free, ways, _, _ in _openings(total, least, cap, free_above)]
 
     def rec(j, src_left, snk_left, spent, open_edges, edges, comp, cycles, assign):
         # open_edges: sorted (origin, weight) pairs crossing gap j-1, free
@@ -583,21 +541,15 @@ def run_enumeration_task(
         # room only falls by openings, and cap below keeps it nonnegative
         room = target_edges - len(edges) - len(open_edges)
         splits = _splits(open_edges)
-        for s, t, here, flow, least, must_open in placement_table[
-                j, src_left, snk_left, spent, room]:
+        for s, t, here, flow, least, must_open in placements(
+                j, src_left, snk_left, spent, room):
             srcs[j], snks[j] = s, t
             for closed, still_open, kept, _ in splits:
                 out_total = flow - kept
                 if out_total < 0 or least + kept > bound:
                     continue
                 cap = min(room, 1 + genus + bound - least - len(still_open))
-                key = (j, out_total, must_open, cap)
-                openings = opening_table.get(key)
-                if openings is None:
-                    openings = opening_table[key] = [
-                        (tuple((j, w) for w in weights + free), ways)
-                        for weights, free, ways, _, _
-                        in _openings(out_total, must_open, cap, free_above)]
+                openings = openings_of(j, out_total, must_open, cap)
                 if not openings:
                     continue
                 # a subgraph has no more independent cycles than the diagram
@@ -821,26 +773,34 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
     which the listing walk reads too, and _transfer_splits and
     _gap_choices, both regroupings of _splits), so every call of the
     process shares them.  The factorials, [w]^2 and the truncated product
-    of [w]^2 over each opening's heavy weights stay per call, and the
-    placements (_PlacementTable) per label order.
+    of [w]^2 over each opening's heavy weights (heavy_product) stay per
+    call, and the cache of placements per label order.
     """
     n_coeffs = i + 1
     total = [0] * n_coeffs
     orders = _label_orders(polygon, genus, i)
     if not orders:
         return total
-    iota, bound = _search_bound(polygon, genus, i)
-    last = 2 * (iota - genus) + 1
+    last = 2 * (lattice_stats(polygon).interior - genus) + 1
     if i > last:
         return codegree_coefficients(polygon, genus, last) + [0] * (i - last)
     a, d_b, d_t = polygon.height, polygon.d_b, polygon.d_t
     target_edges = a - 1 + genus
     fact = [factorial(k) for k in range(target_edges + d_t + 1)]
     squares = [_square_codegrees(w, n_coeffs) for w in range(i + 2)]
-    heavy_products: Dict[Tuple[int, ...], List[int]] = {}
+
+    @cache
+    def heavy_product(heavy):
+        # the truncated product of [w]^2 over an opening's heavy weights
+        factor = squares[heavy[0]]
+        for w in heavy[1:]:
+            factor = _times(factor, squares[w], n_coeffs)
+        return factor
+
     for ls, rs in orders:
-        walk = _walk_tables(polygon, bound, iota, ls, rs)
-        placement_table = _PlacementTable(walk)
+        walk = _walk_tables(polygon, genus, i, ls, rs)
+        bound, base = walk[1:3]
+        placements = cache(partial(_placements, walk))
         level: Dict[Tuple, List[int]] = {(d_b, d_t, 0, 0, (), 0): [1] + [0] * i}
         for j in range(a - 1):
             # floor j: sources, sinks, closings and openings
@@ -851,8 +811,8 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
                 opened_before = closed_edges + n_placed + n_pending
                 room = target_edges - opened_before
                 prefix = j + closed_edges + n_placed + d_t - snk_left - pend + d_b - src_left
-                for s, t, here, flow, least, must_open in placement_table[
-                        j, src_left, snk_left, spent, room]:
+                for s, t, here, flow, least, must_open in placements(
+                        j, src_left, snk_left, spent, room):
                     placing = comb(prefix + s, s) * comb(d_t - snk_left + t, t)
                     for kept, n_kept, ways, new_cycles, others, placed, pending in table:
                         out_total = flow - kept
@@ -877,13 +837,7 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
                             scale = ways * assign * labels * comb(opened_before + opened, opened)
                             part = sums
                             if n > 1 and heavy:  # each [w]^2 has constant term 1
-                                factor = heavy_products.get(heavy)
-                                if factor is None:
-                                    factor = squares[heavy[0]]
-                                    for w in heavy[1:]:
-                                        factor = _times(factor, squares[w], n_coeffs)
-                                    heavy_products[heavy] = factor
-                                part = _times(sums, factor, n)
+                                part = _times(sums, heavy_product(heavy), n)
                             key = head + (tuple(sorted(others + (mine,))), pend + t)
                             got = after_floor.get(key)
                             if got is None:
@@ -908,7 +862,6 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
         # the top floor takes the sources and sinks left and closes every
         # open elevator, each placed already; gap a-1 takes every sink left
         j = a - 1
-        base = walk[2]
         for (src_left, snk_left, spent, cycles, comps, pend), sums in level.items():
             codeg = base + spent + j * src_left
             if codeg > bound or any(pending for _, pending in comps):

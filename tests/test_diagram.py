@@ -14,7 +14,6 @@ from floordiag.diagram import (
     _labelled,
     _openings,
     _placements,
-    _search_bound,
     _splits,
     _transfer_splits,
     _walk_tables,
@@ -39,6 +38,7 @@ from floordiag.polygon import (
     make_delta_abn,
     make_delta_d,
     parse_polygon,
+    validate as polygon_errors,
 )
 from codegree_ops import _consecutive, op_A_minus, op_A_plus, op_B_l, op_B_r
 from strategies import small_polygons
@@ -226,11 +226,10 @@ def test_placements_are_the_brute_force_placements(poly, genus, max_codeg, data)
     # every (s, t) whose gap above is crossed (flow >= 1) and whose least
     # codegree is within the bound, in order, with its cost and edge floor
     assume(poly.height > 1)
-    iota, bound = _search_bound(poly, genus, max_codeg)
     ls = data.draw(st.permutations(poly.d_l))
     rs = data.draw(st.permutations(poly.d_r))
-    walk = _walk_tables(poly, bound, iota, ls, rs)
-    a, _, base, divs, most, _ = walk
+    walk = _walk_tables(poly, genus, max_codeg, ls, rs)
+    a, bound, base, divs, most, _ = walk
     j = data.draw(st.integers(0, a - 2))
     src_left = data.draw(st.integers(0, poly.d_b))
     snk_left = data.draw(st.integers(0, poly.d_t))
@@ -438,6 +437,58 @@ def test_transfer_lists_each_placement_once_per_label_order(monkeypatch, literal
     assert len(orders) == len(list(_label_orders(poly, genus, 2))) > 0
     assert all(len(keys) == len(set(keys)) for keys in orders)
     assert sum(map(len, orders)) > len(orders)
+
+
+@pytest.mark.parametrize("literal,genus", [
+    ("abn:8,3,2", 2), ("ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1", 0)])
+def test_listing_walk_lists_each_placement_once_per_label_order(monkeypatch, literal, genus):
+    # the listing walk at max_codeg=2 reads the placements of each (floor,
+    # sources left, sinks left, cost, room) of a label order from one cache:
+    # _placements runs once per distinct key of each order
+    orders = []  # per label order, the keys _placements was called with
+
+    def walk_tables(*args):
+        orders.append([])
+        return _walk_tables(*args)
+
+    def counted(walk, *key):
+        orders[-1].append(key)
+        return _placements(walk, *key)
+
+    monkeypatch.setattr("floordiag.diagram._walk_tables", walk_tables)
+    monkeypatch.setattr("floordiag.diagram._placements", counted)
+    poly = parse_polygon(literal)
+    for _ in _labelled(poly, genus, 2):
+        pass
+    assert len(orders) == len(list(_label_orders(poly, genus, 2))) > 0
+    assert all(len(keys) == len(set(keys)) for keys in orders)
+    assert sum(map(len, orders)) > len(orders)
+
+
+def test_base_codegree_is_the_chain_codegree():
+    # with every source on floor 0, every sink on the top floor and one
+    # elevator of the gap flow F_k = d_b - sum_{m<=k} (r_m - l_m) per gap,
+    # the chain diagram's codegree is the base of _walk_tables, for every
+    # small polygon (the range of small_polygons) and every label order
+    checked = 0
+    for a in range(1, 4):
+        slopes = list(itertools.combinations_with_replacement(range(-1, 2), a))
+        for d_l, d_r, d_t in itertools.product(slopes, slopes, range(3)):
+            poly = HTransversePolygon(d_l, d_r, d_t + sum(d_r) - sum(d_l), d_t)
+            if polygon_errors(poly):
+                continue
+            for ls, rs in _label_orders(poly, 0, None):
+                flows = [poly.d_b - x for x in
+                         itertools.accumulate(r - l for l, r in zip(ls[:-1], rs[:-1]))]
+                if any(f < 1 for f in flows):
+                    continue
+                floors = tuple((l, r, poly.d_b * (m == 0), poly.d_t * (m == a - 1))
+                               for m, (l, r) in enumerate(zip(ls, rs)))
+                chain = FloorDiagram(floors, tuple((k, k + 1, f) for k, f in enumerate(flows)))
+                assert validate(chain, poly) == []
+                assert codegree(chain) == _walk_tables(poly, 0, None, ls, rs)[2]
+                checked += 1
+    assert checked > 1000
 
 
 def test_classes_match_dedupe_by_canonical_form():
@@ -864,11 +915,6 @@ def test_op_errors_on_missing_configuration():
     falling = FloorDiagram(((0, 1, 3, 0), (0, 2, 0, 0)), ((0, 1, 2),))
     with pytest.raises(ValueError):
         op_B_r(falling, 0, 1)  # r(v1) < r(v2)
-
-
-def test_json_roundtrip():
-    d = list(enumerate_floor_diagrams(make_delta_d(3), 0))[0]
-    assert FloorDiagram.from_json(d.to_json()) == d
 
 
 def test_determinism():

@@ -1,11 +1,17 @@
 """Checks on the engine's source text itself."""
 
 import ast
+import re
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "floordiag").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "floordiag").glob("*.py"))
+# every file that may name a definition of the engine
+READERS = sorted(path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py"))
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
 def unused_imports(source: str):
@@ -40,3 +46,56 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def named(node: ast.AST):
+    """The names read within node: each ast.Name, each ast.Attribute and
+    the last part of each dotted string such as "floordiag.diagram._splits".
+    An import names nothing."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                and DOTTED.fullmatch(sub.value)):
+            yield sub.value.rpartition(".")[2]
+
+
+@lru_cache(maxsize=None)
+def names_in(source: str):
+    return frozenset(named(ast.parse(source)))
+
+
+def dead_definitions(module: str, others):
+    """(line, name) of each top-level function or class of the source
+    `module` that neither another top-level statement of it nor any of the
+    sources `others` names."""
+    body = ast.parse(module).body
+    names = [set(named(node)) for node in body]
+    elsewhere = set().union(*map(names_in, others))
+    return [(node.lineno, node.name) for k, node in enumerate(body)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in elsewhere
+            and not any(node.name in other for m, other in enumerate(names) if m != k)]
+
+
+def test_dead_definitions_are_found():
+    module = ("import itertools\n"
+              "def used():\n    return itertools.count()\n"
+              "def recursive(n):\n    return recursive(n - 1) if n else used()\n"
+              "def imported_only():\n    pass\n"
+              "class Patched:\n    pass\n"
+              "def read_by_attribute():\n    pass\n")
+    others = ["from pkg.mod import imported_only, Patched\n",
+              "import pkg.mod\nfrom x import monkeypatch\n"
+              "monkeypatch.setattr('pkg.mod.Patched', None)\n"
+              "pkg.mod.read_by_attribute()\n"
+              "print('a sentence. recursive')\n"]
+    assert dead_definitions(module, others) == [(4, "recursive"), (6, "imported_only")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_definition(path):
+    others = [reader.read_text() for reader in READERS if reader != path]
+    assert dead_definitions(path.read_text(), others) == []
