@@ -8,11 +8,9 @@ per-floor counts.
 
 Enumeration walks the floors bottom to top for each order of the l and r
 labels, placing each floor's sources and sinks and tracking the multiset
-of open elevators; it yields every labelled diagram once.  One walk serves
-labelled diagrams and diagram shapes (heavy short elevators left as free
-slots, which ride the walk as open elevators of one weight).  The moves
-of a floor and their cuts are stated once, in _placements, which the
-walk and codegree_coefficients both read.  enumerate_floor_diagrams
+of open elevators; it yields every labelled diagram once.  The moves of
+a floor and their cuts are stated once, in _placements, which the walk
+and codegree_coefficients both read.  enumerate_floor_diagrams
 keeps, of each class, the one labelling that is its own canonical form,
 and maps it to its number of floor automorphisms: one search along the
 labelling's own floor sequence (automorphism_count) rejects the other
@@ -26,7 +24,7 @@ codegree_coefficients lists no diagram at all.  It keeps, per label
 order, one level of walk states, each carrying the codegree-truncated
 sum over its paths of the factors of a labelled shape, every factor
 local to one floor or one gap.  codegree_coefficient_sum, the sum
-over the labelled shapes that the walk lists, serves the tests as its
+over the labelled diagrams that the walk lists, serves the tests as its
 oracle.
 
 The key accounting identity,
@@ -473,10 +471,9 @@ def run_enumeration_task(
     ls: Tuple[int, ...],
     rs: Tuple[int, ...],
     max_codeg: Optional[int] = None,
-    free_above: Optional[int] = None,
-) -> List[Tuple[FloorDiagram, int, int]]:
+) -> List[Tuple[FloorDiagram, int]]:
     """Labelled diagrams whose floor j has l label ls[j] and r label rs[j],
-    as (diagram, assignments, codegree).
+    as (diagram, codegree).
 
     One walk up the floors places each floor's sources and sinks
     (_placements, with its cuts), closes open elevators there and opens
@@ -485,26 +482,17 @@ def run_enumeration_task(
     component left.  Caches local to the call list, once each, the
     placements of every (floor, sources left, sinks left, cost, room) and
     the openings of every (floor, total, least, cap) as (floor, weight)
-    pairs, from the process-wide _openings, free slots among them.  The
-    splits come from the process-wide _splits, whose ways the walk leaves
-    unread: equal open elevators are one multiset in a diagram.  _openings
-    alone decides how many elevators a floor opens, none included, and a
-    split it gives no opening is cut.
-
-    With free_above=None every weight is explicit and assignments is 1.
-    With free_above=i (and max_codeg=i) the diagrams are shapes: elevators
-    heavier than i become free slots of weight i+1, and assignments counts
-    the ordered weight assignments of the free slots.  A free slot is an
-    open elevator like any other, and it is always short: kept open, its
-    weight i+1 would exceed the codegree bound.  Every weight above i gives
-    the same codegree-i term, so every diagram of codegree <= i belongs to
-    exactly one shape.
+    pairs, from the process-wide _openings.  The splits come from the
+    process-wide _splits, whose ways the walk leaves unread: equal open
+    elevators are one multiset in a diagram.  _openings alone decides how
+    many elevators a floor opens, none included, and a split it gives no
+    opening is cut.
     """
     walk = _walk_tables(polygon, genus, max_codeg, ls, rs)
     a, bound, base = walk[:3]
     placements = cache(partial(_placements, walk))
     target_edges = a - 1 + genus
-    found: List[Tuple[FloorDiagram, int, int]] = []
+    found: List[Tuple[FloorDiagram, int]] = []
 
     srcs, snks = [0] * a, [0] * a  # sources and sinks of the floors below j
     # one copy of each floor list and elevator, shared by the diagrams found
@@ -513,16 +501,15 @@ def run_enumeration_task(
     @cache
     def openings_of(j, total, least, cap):
         # the openings as the (floor, weight) pairs opened (faster than a
-        # floor-free key), with their assignments
-        return [(tuple((j, w) for w in weights + free), ways)
-                for weights, free, ways, _, _ in _openings(total, least, cap, free_above)]
+        # floor-free key)
+        return [tuple((j, w) for w in weights)
+                for weights, _, _, _, _ in _openings(total, least, cap, None)]
 
-    def rec(j, src_left, snk_left, spent, open_edges, edges, comp, cycles, assign):
-        # open_edges: sorted (origin, weight) pairs crossing gap j-1, free
-        # slots among them; spent: the placement cost of the sources and
-        # sinks below floor j plus the span cost.  comp labels the connected
-        # component of each floor below j under the closed elevators
-        # `edges`, which hold `cycles` independent cycles
+    def rec(j, src_left, snk_left, spent, open_edges, edges, comp, cycles):
+        # open_edges: sorted (origin, weight) pairs crossing gap j-1; spent:
+        # the placement cost of the sources and sinks below floor j plus the
+        # span cost.  comp labels the connected component of each floor
+        # below j under the closed `edges`, which hold `cycles` independent cycles
         if j == a - 1:
             # the top floor takes the sources and sinks left, and every open
             # elevator closes there and must join every component; floor a-2
@@ -536,7 +523,7 @@ def run_enumeration_task(
             elevators = tuple(shared.setdefault(e, e)
                               for e in edges + [(o, j, w) for o, w in open_edges])
             diagram = FloorDiagram(shared.setdefault(floors, floors), elevators)
-            found.append((diagram, assign, codeg))
+            found.append((diagram, codeg))
             return
         # room only falls by openings, and cap below keeps it nonnegative
         room = target_edges - len(edges) - len(open_edges)
@@ -564,12 +551,12 @@ def run_enumeration_task(
                 else:
                     new_comp = comp + (label,)
                 new_edges = edges + [(o, j, w) for o, w in closed]
-                for opened, ways in openings:
+                for opened in openings:
                     # origins below j, then nondecreasing weights: sorted
                     rec(j + 1, src_left - s, snk_left - t, here + kept, still_open + opened,
-                        new_edges, new_comp, new_cycles, assign * ways)
+                        new_edges, new_comp, new_cycles)
 
-    rec(0, polygon.d_b, polygon.d_t, 0, (), [], (), 0, 1)
+    rec(0, polygon.d_b, polygon.d_t, 0, (), [], (), 0)
     return found
 
 
@@ -594,12 +581,11 @@ def _labelled(
     polygon: HTransversePolygon,
     genus: int,
     max_codeg: Optional[int],
-    free_above: Optional[int] = None,
-) -> Iterator[Tuple[FloorDiagram, int, int]]:
-    """(labelled diagram, assignments, codegree) over all l- and r-label
-    orders of the floors; each labelled diagram comes once."""
+) -> Iterator[Tuple[FloorDiagram, int]]:
+    """(labelled diagram, codegree) over all l- and r-label orders of the
+    floors; each labelled diagram comes once."""
     for ls, rs in _label_orders(polygon, genus, max_codeg):
-        yield from run_enumeration_task(polygon, genus, ls, rs, max_codeg, free_above)
+        yield from run_enumeration_task(polygon, genus, ls, rs, max_codeg)
 
 
 def enumerate_floor_diagrams(
@@ -616,7 +602,7 @@ def enumerate_floor_diagrams(
     """
     # the walk yields each labelling once, so each class's canonical form once
     classes = []
-    for d, _, _ in _labelled(polygon, genus, max_codeg):
+    for d, _ in _labelled(polygon, genus, max_codeg):
         auts = automorphism_count(d)
         if auts:
             classes.append((d, auts))
@@ -628,21 +614,16 @@ def codegree_coefficient_sum(
     polygon: HTransversePolygon,
     genus: int,
     i: int,
-    shape_term,
+    term,
 ) -> int:
-    """Sum shape_term(labelled_shape, shape_codegree) times the number of
-    ordered free-weight assignments, over the labelled shapes of codegree
-    <= i of every label order.  The codegree path no longer lists shapes
-    (codegree_coefficients); this sum is the tests' oracle for it.
+    """Sum term(labelled diagram, codegree) over the labelled diagrams of
+    codegree <= i of every label order.  The codegree path lists no
+    diagram (codegree_coefficients); this sum is the tests' oracle for it.
 
-    Each isomorphism class of shapes appears once per distinct labelling,
-    so the caller's term sums over the labellings of a class to the class
-    term; it must also be constant across the free weights of a shape.
+    Each isomorphism class appears once per distinct labelling, so the
+    caller's term sums over the labellings of a class to the class term.
     """
-    return sum(
-        assign * shape_term(d, codeg)
-        for d, assign, codeg in _labelled(polygon, genus, i, free_above=i)
-    )
+    return sum(term(d, codeg) for d, codeg in _labelled(polygon, genus, i))
 
 
 # -- codegree coefficients by a transfer over walk states --------------------
@@ -720,19 +701,23 @@ def _gap_choices(comps: Tuple, i: int) -> Tuple[Tuple[int, int, Tuple], ...]:
 
 def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> List[int]:
     """[coef_0, ..., coef_i] of G_Delta(g), by one forward transfer per
-    label order over the states of the shape walk at free_above=i, with no
-    labelled shape listed.  Past 2(iota - g), the bottom exponent, every
-    coefficient is 0, so the transfer runs at most to 2(iota - g) + 1.
+    label order over walk states, with no labelled diagram listed.  Past
+    2(iota - g), the bottom exponent, every coefficient is 0, so the
+    transfer runs at most to 2(iota - g) + 1.
 
-    Over the labelled shapes L of codegree <= i, coef_k G_Delta(g) sums
-    assignments(L) * ext(L) * coef_{k - codeg(L)} prod [w]^2, where ext(L)
-    counts the reduced linear extensions that keep the floors in label
-    order.  The tests' oracle, marking.count_in_label_order, counts them
-    by the class path's downset DP with the floors chained, not by these
-    gap factors.  Every factor is local to one
-    floor or one gap, so the walk goes up level by level, with the
-    placements and cuts of _placements, and merges the nodes whose futures
-    agree.  A state after gap j-1 is
+    Over the labelled diagrams L of codegree <= k, coef_k G_Delta(g) sums
+    ext(L) * coef_{k - codeg(L)} prod [w]^2, where ext(L) counts the
+    reduced linear extensions that keep the floors in label order.  The
+    tests' oracle, marking.count_in_label_order, counts them by the class
+    path's downset DP with the floors chained, not by these gap factors.
+    The transfer groups the diagrams into labelled shapes: every weight
+    above i gives the same codegree-i term, so an elevator heavier than i
+    is a free slot of weight i+1, and a shape counts the ordered weight
+    assignments of its free slots.  A free slot is always short: kept
+    open, its weight i+1 would exceed the codegree bound.  Every factor of
+    a shape is local to one floor or one gap, so the walk goes up level by
+    level, with the placements and cuts of _placements, and merges the
+    nodes whose futures agree.  A state after gap j-1 is
 
       (sources left, sinks left, spent, cycles, components, pending sinks)
 

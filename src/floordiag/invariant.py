@@ -199,9 +199,8 @@ def descendant_codegree_coeff(polygon: HTransversePolygon, s: int, i: int) -> in
 
 def invariant_codegree_coeff(
     polygon: HTransversePolygon, genus: int, i: int) -> int:
-    """coef_i G_Delta(g), by the forward transfer over the states of the
-    shape walk (diagram.codegree_coefficients), with no labelled shape
-    listed.
+    """coef_i G_Delta(g), by the forward transfer over walk states
+    (diagram.codegree_coefficients), with no labelled diagram listed.
 
     Relabelling each marked class by the order its marking gives the floors
     turns the sum over classes into a sum over labelled diagrams L of
@@ -238,8 +237,8 @@ def verify_pairing_independence(polygon: HTransversePolygon, s: int) -> Report:
     """Recompute G_Delta(0;s) for every pairing of order s and compare."""
     stats = lattice_stats(polygon)
     name = "pairing-independence %s s=%d" % (polygon.key(), s)
-    if s > stats.s_max:
-        return Report(name, False, ["s beyond s_max"])
+    if not 0 <= s <= stats.s_max:
+        raise ValueError("pairing independence needs 0 <= s <= s_max")
     pairings = list(all_pairings(stats.n_delta, s))
     values: Dict[Tuple, List[str]] = {}
     for S in pairings:
@@ -273,8 +272,8 @@ def verify_monotonicity(polygon: HTransversePolygon, i: int) -> Report:
     """coef_i G(0;0) >= coef_i G(0;1) >= ... >= 0."""
     stats = lattice_stats(polygon)
     name = "monotonicity %s i=%d" % (polygon.key(), i)
-    if i > stats.interior:
-        return Report(name, False, ["codegree beyond the polynomial degree"])
+    if not 0 <= i <= stats.interior:
+        raise ValueError("monotonicity needs 0 <= i <= iota")
     chain = [
         descendant_codegree_coeff(polygon, s, i) for s in range(stats.s_max + 1)
     ]
@@ -289,6 +288,6 @@ def marked_class_table(
     rows = []
     for D in enumerate_floor_diagrams(polygon, 0):
         for m in enumerate_markings(D):
-            row = {"mult": mult(D), "mu": [mu_S(D, m, S) for S in pairings]}
+            row = {"mult": mult(D), "mu": [mu_S(m, S) for S in pairings]}
             rows.append(row)
     return rows

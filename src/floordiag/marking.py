@@ -45,9 +45,9 @@ gives one of its labellings.  So the marked classes of a diagram are also
 counted, without automorphisms, by summing over its distinct labellings
 the reduced extensions that keep the floors in label order:
 count_in_label_order(diagram), the same downset DP with each floor set
-above the one before it.  Summed over the labelled shapes, it is the
+above the one before it.  Summed over the labelled diagrams, it is the
 tests' oracle for the codegree transfer (diagram.codegree_coefficients),
-which carries its own factors up the floor walk and lists no shape.
+which carries its own factors up the floor walk and lists no diagram.
 """
 
 from __future__ import annotations
@@ -261,6 +261,8 @@ def make_pairing(pairs: Sequence[Tuple[int, int]], n: Optional[int] = None) -> P
 
 def all_pairings(n: int, s: int) -> Iterator[Pairing]:
     """Every pairing of order s of {1..n} (disjoint consecutive pairs)."""
+    if s < 0:
+        raise ValueError("pairing order must be nonnegative")
 
     def rec(start, left):
         if left == 0:
@@ -270,8 +272,7 @@ def all_pairings(n: int, s: int) -> Iterator[Pairing]:
             for tail in rec(i + 2, left - 1):
                 yield ((i, i + 1),) + tail
 
-    for combo in rec(1, s):
-        yield frozenset(combo)
+    return (frozenset(combo) for combo in rec(1, s))
 
 
 def parse_pairing(text: str) -> Pairing:
@@ -362,11 +363,11 @@ def _pair_key(x: Element, y: Element) -> Optional[Tuple]:
     return ("double", w, wp) if wp > 1 else _UNIT
 
 
-def is_compatible(diagram: FloorDiagram, marking: Marking, pairing: Pairing) -> bool:
+def is_compatible(marking: Marking, pairing: Pairing) -> bool:
     return all(_pair_key(marking[i - 1], marking[j - 1]) is not None for i, j in pairing)
 
 
-def mu_S(diagram: FloorDiagram, marking: Marking, pairing: Pairing) -> LaurentPoly:
+def mu_S(marking: Marking, pairing: Pairing) -> LaurentPoly:
     """Refined S-multiplicity of the marked diagram; zero when incompatible.
 
     The product of one factor per pair of S (_pair_key) and one per

@@ -247,17 +247,13 @@ class CappingTree:
         return {
             "floors": self.floors,
             "divergence": self.divergence,
-            "root_children": _shape_json(self.shape),
+            "root_children": self.shape,
             "codegree": self.codeg(),
         }
 
 
 def _shape_size(shape: TreeShape) -> int:
     return 1 + sum(_shape_size(c) for c in shape)
-
-
-def _shape_json(shape: TreeShape):
-    return [_shape_json(c) for c in shape]
 
 
 def _rooted_shapes(size: int) -> List[TreeShape]:

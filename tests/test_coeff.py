@@ -193,7 +193,7 @@ def test_nu_matches_marking_counts():
                 else:
                     S = canonical_pairing(s)
                     want = sum(
-                        1 for m in enumerate_markings(d) if is_compatible(d, m, S)
+                        1 for m in enumerate_markings(d) if is_compatible(m, S)
                     )
                 assert nu(uv, a, b, n, s) == want, (uv, a, b, n, s)
 

@@ -98,7 +98,7 @@ def brute_force_classes(poly, genus):
 def dedupe_by_canonical_form(poly, genus, max_codeg=None):
     """The class list built by canonicalising every labelled diagram."""
     classes = {}
-    for d, _, _ in _labelled(poly, genus, max_codeg):
+    for d, _ in _labelled(poly, genus, max_codeg):
         c = canonical_form(d)
         classes.setdefault(c.key(), c)
     return [classes[k] for k in sorted(classes)]
@@ -166,16 +166,16 @@ def test_sweep_matches_bruteforce_on_random_polygons(poly):
 
 
 def assert_walk_matches_brute_force_labelled(poly, genus, slow):
-    # every labelled diagram once, with its codegree and one assignment
+    # every labelled diagram once, with its codegree
     for max_codeg in (None, 0, 1):
         walked = list(_labelled(poly, genus, max_codeg))
-        keys = [d.key() for d, _, _ in walked]
+        keys = [d.key() for d, _ in walked]
         assert len(keys) == len(set(keys)), (poly, genus, max_codeg)
         assert set(keys) == {
             k for k in slow
             if max_codeg is None or codegree(FloorDiagram(*k)) <= max_codeg
         }, (poly, genus, max_codeg)
-        assert all(assign == 1 and codeg == codegree(d) for d, assign, codeg in walked)
+        assert all(codeg == codegree(d) for d, codeg in walked)
 
 
 @pytest.mark.parametrize("poly,gmax", [
@@ -188,35 +188,29 @@ def test_labelled_walk_matches_bruteforce(poly, gmax):
         assert_walk_matches_brute_force_labelled(poly, g, brute_force_labelled(poly, g))
 
 
-# (polygon, genus, max_codeg, free_above): (labelled diagrams, SHA-256 of
-# the repr of their (key, assignments, codegree) list, in walk order)
+# (polygon, genus, max_codeg): (labelled diagrams, SHA-256 of the repr of
+# their (key, 1, codegree) list, in walk order; the 1 keeps the hashes
+# that were pinned when each row also held a count of weight assignments)
 PINNED_WALKS = [
-    (("abn:5,0,1", 0, None, None),
+    (("abn:5,0,1", 0, None),
      (125, "37111407f392921ec98c0bec791efc6133eabdc70172f80d10a9d4408667f104")),
-    (("abn:5,0,1", 1, None, None),
+    (("abn:5,0,1", 1, None),
      (188, "87f7035127edb5bf0480c48ffce0b4b24e7026fe544fb93d2c3e5c7dc43518b2")),
-    (("abn:5,0,1", 2, None, None),
+    (("abn:5,0,1", 2, None),
      (148, "268af9ac426dd32eea9543d097eb11f40fcad6637d64c44b3cd69f259187a7e1")),
-    (("ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1", 0, None, None),
+    (("ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1", 0, None),
      (4142, "f26075e7791556dece2ca0951bd9b7f4047fbf42fedab15c5e40cb9cf8ae49fc")),
-    (("abn:4,2,1", 1, 1, None),
+    (("abn:4,2,1", 1, 1),
      (17, "ab78f9ce9918fd2780671371e669f6615de6fd1d97c258d42cdd37eacf1ef71b")),
-    (("abn:4,2,1", 1, 2, 2),
-     (45, "b162825c80c8fa4ea0573781e713ae97f97e407da84648a8e52c4163434f8420")),
-    (("abn:8,3,2", 2, 2, 2),
-     (2230, "1f9059a1dd2d7cde93dd880d61befb832c01ef54571a9a8d9d6a272b8e6874f9")),
-    (("abn:3,2,3", 1, 1, 1),
-     (13, "da57b4626a8c1bc89ea0a1cf3973dbd645022652f94b55c3a406332be22b8046")),
 ]
 
 
 @pytest.mark.parametrize("walk,pinned", PINNED_WALKS)
 def test_walks_are_pinned(walk, pinned):
-    # full walks and shape walks list the same diagrams, assignments and
-    # codegrees in the same order, free slots among them
-    literal, genus, max_codeg, free_above = walk
-    rows = [(d.key(), assign, codeg) for d, assign, codeg
-            in _labelled(parse_polygon(literal), genus, max_codeg, free_above)]
+    # the walks list the same diagrams and codegrees in the same order
+    literal, genus, max_codeg = walk
+    rows = [(d.key(), 1, codeg) for d, codeg
+            in _labelled(parse_polygon(literal), genus, max_codeg)]
     assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()) == pinned
 
 
@@ -300,36 +294,35 @@ def test_distinct_permutations_in_lexicographic_order(values):
     (make_delta_abn(4, 2, 1), 1, 2),
     (make_delta_abn(8, 3, 2), 2, 2),
 ])
-def test_free_slots_close_on_the_floor_above(poly, genus, i):
-    # explicit weights are at most i, so an elevator of weight i + 1 is a
-    # free slot, and a free slot is short wherever it opens
-    slots = [(s, t) for d, _, _ in _labelled(poly, genus, i, free_above=i)
-             for s, t, w in d.elevators if w == i + 1]
-    assert any(t < poly.height - 1 for _, t in slots)
-    assert all(t == s + 1 for s, t in slots)
+def test_heavy_elevators_are_short(poly, genus, i):
+    # the premise of the codegree transfer's free slots: in a walk at
+    # max_codeg=i, an elevator heavier than i is short wherever it opens,
+    # and one closes below the top floor
+    heavy = [(s, t) for d, _ in _labelled(poly, genus, i)
+             for s, t, w in d.elevators if w > i]
+    assert any(t < poly.height - 1 for _, t in heavy)
+    assert all(t == s + 1 for s, t in heavy)
 
 
 def test_walks_share_no_state_across_calls():
-    # full walks and shape walks at free_above 1 and 2 on one label order,
-    # interleaved and repeated: a shape has no weight above free_above + 1,
-    # and each call gives what it gave the first time
+    # walks at max_codeg None, 0, 1 and 2 on one label order, interleaved
+    # and repeated: a bounded walk lists the diagrams of the full walk
+    # within its bound, and each call gives what it gave the first time
     poly = make_delta_abn(3, 2, 3)
-    runs = [(None, None), (1, 1), (1, None), (2, 2), (2, None)]  # (max_codeg, free_above)
+    runs = [None, 0, 1, 2]
 
-    def walk(max_codeg, free_above):
-        found = run_enumeration_task(poly, 1, poly.d_l, poly.d_r, max_codeg, free_above)
+    def walk(max_codeg):
+        found = run_enumeration_task(poly, 1, poly.d_l, poly.d_r, max_codeg)
         assert type(found) is list
-        return [(d.key(), assign, codeg) for d, assign, codeg in found]
+        return [(d.key(), codeg) for d, codeg in found]
 
-    first = {r: walk(*r) for r in runs}
-    assert max(w for (_, elevators), _, _ in first[None, None] for _, _, w in elevators) > 3
-    for max_codeg, free_above in runs[1::2]:
-        shapes = first[max_codeg, free_above]
-        assert all(w <= free_above + 1
-                   for (_, elevators), _, _ in shapes for _, _, w in elevators)
-        assert any(assign > 1 for _, assign, _ in shapes)
-    assert {r: walk(*r) for r in reversed(runs)} == first
-    assert {r: walk(*r) for r in runs} == first
+    first = {r: walk(r) for r in runs}
+    assert max(w for (_, elevators), _ in first[None] for _, _, w in elevators) > 3
+    for max_codeg in runs[1:]:
+        assert first[max_codeg] == [(key, codeg) for key, codeg in first[None]
+                                    if codeg <= max_codeg]
+    assert {r: walk(r) for r in reversed(runs)} == first
+    assert {r: walk(r) for r in runs} == first
 
 
 def brute_gap_choices(comps, i):
@@ -396,9 +389,9 @@ def test_transfer_choices_match_brute_force_on_random_components(case):
 
 @pytest.mark.parametrize("abn,genus", [((4, 2, 1), 1), ((8, 3, 2), 2)])
 def test_walk_lists_each_split_once(monkeypatch, abn, genus):
-    # a codegree-2 shape walk on the one label order of Delta_{a,b,n}: every
+    # a codegree-2 walk on the one label order of Delta_{a,b,n}: every
     # split the walk reads comes from the process-wide table, which lists
-    # each tuple of open elevators, free slots among them, once
+    # each tuple of open elevators once
     calls = []
 
     def counted(items):
@@ -408,7 +401,7 @@ def test_walk_lists_each_split_once(monkeypatch, abn, genus):
     monkeypatch.setattr("floordiag.diagram._splits", counted)
     _splits.cache_clear()
     poly = make_delta_abn(*abn)
-    assert run_enumeration_task(poly, genus, poly.d_l, poly.d_r, 2, 2)
+    assert run_enumeration_task(poly, genus, poly.d_l, poly.d_r, 2)
     info = _splits.cache_info()
     assert info.misses == info.currsize == len(set(calls)) < len(calls)
     assert info.hits + info.misses == len(calls)
@@ -574,7 +567,7 @@ def reachability_oracle(d):
 def test_layered_and_consecutive_match_reachability_oracle():
     for poly in (make_delta_d(4), make_delta_abn(3, 1, 1), make_delta_abn(2, 3, 1)):
         for g in range(lattice_stats(poly).interior + 1):
-            for d, _, _ in _labelled(poly, g, None):
+            for d, _ in _labelled(poly, g, None):
                 reach = reachability_oracle(d)
                 a = d.n_floors
                 assert d.is_layered() == all(reach[v][v + 1] for v in range(a - 1))
@@ -752,7 +745,7 @@ def test_canonical_search_matches_brute_force_on_quartic():
     # representatives, not only classes: enumerate_floor_diagrams and the
     # pinned CLI output depend on which relabelling is chosen
     for g in range(4):
-        for d, _, _ in _labelled(make_delta_d(4), g, None):
+        for d, _ in _labelled(make_delta_d(4), g, None):
             assert_search_matches_brute_force(d)
             assert_search_matches_brute_force(canonical_form(d))
 
@@ -760,7 +753,7 @@ def test_canonical_search_matches_brute_force_on_quartic():
 @settings(max_examples=30, deadline=None)
 @given(small_polygons(), st.integers(0, 2))
 def test_canonical_search_matches_brute_force_on_random_polygons(poly, genus):
-    for d, _, _ in _labelled(poly, genus, None):
+    for d, _ in _labelled(poly, genus, None):
         assert_search_matches_brute_force(d)
 
 
@@ -769,7 +762,7 @@ def test_canonical_search_matches_brute_force_on_random_polygons(poly, genus):
 def test_automorphism_count_matches_brute_force_on_random_polygons(poly):
     # every labelling of every genus up to 2: 0 exactly off the canonical form
     for g in range(3):
-        for d, _, _ in _labelled(poly, g, None):
+        for d, _ in _labelled(poly, g, None):
             if brute_force_canonical_form(d) != d:
                 assert automorphism_count(d) == 0, d
             else:

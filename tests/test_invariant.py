@@ -170,6 +170,16 @@ def test_recursion_precondition():
         verify_recursion(D3, 4)  # 2s > n(Delta) - 2
 
 
+@pytest.mark.parametrize("verify,arg", [
+    (verify_monotonicity, -1), (verify_monotonicity, 2),
+    (verify_pairing_independence, -1), (verify_pairing_independence, 5)])
+def test_verifiers_reject_out_of_range_input(verify, arg):
+    # on D3 (iota = 1, s_max = 4) these ask about a coefficient or an order
+    # that does not exist, which is an input error, not a failed check
+    with pytest.raises(ValueError):
+        verify(D3, arg)
+
+
 def test_monotonicity_reports():
     for literal in GOLDEN["monotonicity"]:
         poly = parse_polygon(literal)
@@ -313,15 +323,15 @@ def test_codegree_coeff_needs_no_classes(monkeypatch):
 
 
 def labelled_shape_sum(polygon, genus, i):
-    """coef_i G_Delta(g) as the sum over the labelled shapes of codegree <= i
-    of assignments * label-order extensions * coef_{i - codeg} prod [w]^2:
-    the listing that the transfer replaced, kept as its oracle."""
-    def shape_term(shape, codeg):
-        weights = [w for _, _, w in shape.elevators]
-        return (count_in_label_order(shape)
+    """coef_i G_Delta(g) as the sum over the labelled diagrams of codegree
+    <= i of label-order extensions * coef_{i - codeg} prod [w]^2: the
+    listing that the transfer replaced, kept as its oracle."""
+    def term(labelled, codeg):
+        weights = [w for _, _, w in labelled.elevators]
+        return (count_in_label_order(labelled)
                 * coeff_product_of_squares(i - codeg, weights))
 
-    return codegree_coefficient_sum(polygon, genus, i, shape_term)
+    return codegree_coefficient_sum(polygon, genus, i, term)
 
 
 def assert_transfer_matches_labelled_shapes(polygon, genus, i):
@@ -339,13 +349,14 @@ def test_codegree_transfer_matches_labelled_shapes(polygon):
         assert_transfer_matches_labelled_shapes(polygon, g, 2 * (iota - g) + 1)
 
 
-@pytest.mark.parametrize("abn", [(8, 3, 2), (12, 3, 3)])
+@pytest.mark.parametrize("abn", [(8, 3, 2), (7, 3, 3)])
 def test_codegree_transfer_matches_labelled_shapes_with_free_slots(abn):
-    # free slots, and sinks below the top floor, on both walks
+    # weights above i (free slots of the transfer), and sinks below the top
+    # floor, among the labelled diagrams of codegree <= 2
     polygon = make_delta_abn(*abn)
-    shapes = list(diagram._labelled(polygon, 2, 2, free_above=2))
-    assert any(w == 3 for d, _, _ in shapes for _, _, w in d.elevators)
-    assert any(t for d, _, _ in shapes for _, _, _, t in d.floors[:-1])
+    walked = list(diagram._labelled(polygon, 2, 2))
+    assert any(w > 2 for d, _ in walked for _, _, w in d.elevators)
+    assert any(t for d, _ in walked for _, _, _, t in d.floors[:-1])
     assert_transfer_matches_labelled_shapes(polygon, 2, 2)
 
 
@@ -494,10 +505,10 @@ def test_shared_table_entries_hold_tuples_only(monkeypatch):
         monkeypatch.setattr(importlib.import_module(table.__module__), table.__name__,
                             recorded(table))
     mixed = parse_polygon("ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1")
-    delta_832 = make_delta_abn(8, 3, 2)
+    delta_832, delta_421 = make_delta_abn(8, 3, 2), make_delta_abn(4, 2, 1)
     codegree_coefficients(delta_832, 2, 2)
     codegree_coefficients(mixed, 0, 3)
-    assert diagram.run_enumeration_task(delta_832, 2, delta_832.d_l, delta_832.d_r, 2, 2)
+    assert diagram.run_enumeration_task(delta_421, 1, delta_421.d_l, delta_421.d_r, 2)
     refined_descendant(D4, 2)
     assert set(results) == {table.__name__ for table in SHARED_TABLES}
     for name, values in results.items():
@@ -534,10 +545,10 @@ def test_truncated_descendant_matches_marking_oracle(literal, monkeypatch):
     monkeypatch.setenv("FLOORDIAG_CACHE_DIR", "")
     polygon = parse_polygon(literal)
     stats = lattice_stats(polygon)
-    classes = [(d, m) for d in enumerate_floor_diagrams(polygon, 0) for m in enumerate_markings(d)]
+    markings = [m for d in enumerate_floor_diagrams(polygon, 0) for m in enumerate_markings(d)]
     pairings = [canonical_pairing(s) for s in range(4)] + [make_pairing([(2, 3), (6, 7)])]
     for S in pairings:
-        full = sum((mu_S(d, m, S) for d, m in classes), LaurentPoly.zero())
+        full = sum((mu_S(m, S) for m in markings), LaurentPoly.zero())
         assert refined_descendant(polygon, len(S), pairing=S) == full
         for i in range(3):
             top = {e2: v for e2, v in full.key() if e2 >= 2 * (stats.interior - i)}
@@ -629,7 +640,7 @@ def _labelled_sum(polygon, genus):
     """Sum of mult(L) times the label-order extension count over the
     labelled diagrams L, with one mult per multiset of elevator weights."""
     groups = {}
-    for d, _, _ in diagram._labelled(polygon, genus, None):
+    for d, _ in diagram._labelled(polygon, genus, None):
         weights = tuple(sorted(w for _, _, w in d.elevators if w > 1))
         groups.setdefault(weights, [d, 0])[1] += marking.count_in_label_order(d)
     total = LaurentPoly.zero()

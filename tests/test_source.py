@@ -99,3 +99,42 @@ def test_dead_definitions_are_found():
 def test_no_dead_definition(path):
     others = [reader.read_text() for reader in READERS if reader != path]
     assert dead_definitions(path.read_text(), others) == []
+
+
+def unread_parameters(source: str):
+    """(line, function, parameter) of each parameter that its function's
+    body never reads, for every function and lambda, nested ones
+    included; self, cls and names starting with _ are exempt.  A read in a
+    nested function counts for the enclosing one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [p for p in (args.vararg, args.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        found += [(node.lineno, getattr(node, "name", "<lambda>"), p.arg) for p in params
+                  if p.arg not in read and p.arg not in ("self", "cls")
+                  and not p.arg.startswith("_")]
+    return sorted(found)
+
+
+def test_unread_parameters_are_found():
+    source = ("class C:\n"
+              "    def method(self, x, _unused):\n        return x\n"
+              "    @classmethod\n    def make(cls, *args, **kwargs):\n        return kwargs\n"
+              "def outer(a, b, *, c=None):\n"
+              "    def inner(d=b):\n        return a\n"
+              "    return inner\n"
+              "key = lambda row, other: row[0]\n")
+    # b is read by inner's default, which outer's body evaluates
+    assert unread_parameters(source) == [
+        (5, "make", "args"), (7, "outer", "c"), (8, "inner", "d"), (11, "<lambda>", "other")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
