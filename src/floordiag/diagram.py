@@ -27,19 +27,18 @@ local to one floor or one gap.  codegree_coefficient_sum, the sum
 over the labelled diagrams that the walk lists, serves the tests as its
 oracle.
 
-The key accounting identity,
-with iota the interior lattice count and E0 the internal elevator set:
+The key accounting identity, with iota the interior lattice count and
+F_k = d_b - sum_{m<=k} (r_m - l_m) the weight crossing gap k in the chain
+diagram (every source on floor 0, every sink on the top floor):
 
-    codeg(D) = iota + a - 1 - sum(F_gap)  +  sum((span(e) - 1) * w(e))
+    codeg(D) = iota + a - 1 - sum(F_k)  +  sum(m over sources on floor m)
+               + sum(a-1-m over sinks on floor m)  +  sum((span(e) - 1) * w(e))
 
-where F_gap is the total weight crossing a gap (forced by the divergence
-constraints once sources and sinks are placed).  The first part depends
-only on the source/sink placement: with every source on floor 0 and every
-sink on the top floor it is the base of _walk_tables, a source on floor m
-adds m and a sink on floor m adds a-1-m.  The second part depends only on
-elevator spans.  Both grow as the walk goes up, which makes them cheap to
-bound during the search.  A search without a codegree limit is bounded by
-iota - genus, since deg >= 0.
+The first term, the chain codegree, is the base of _walk_tables; every
+further term is a nonnegative placement or span cost, so a walk that
+starts at the base and adds them as it goes up bounds the codegree
+cheaply.  A search without a codegree limit is bounded by iota - genus,
+since deg >= 0.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from math import comb, factorial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .laurent import EngineError, LaurentPoly, prod, quantum_integer
 from .polygon import HTransversePolygon, ensure_valid, lattice_stats
@@ -394,52 +393,50 @@ def _openings(
 def _walk_tables(
     polygon: HTransversePolygon, genus: int, max_codeg: Optional[int],
     ls: Sequence[int], rs: Sequence[int],
-) -> Tuple:
-    """The walk tuple (a, bound, base, divs, most, in_flows) that
-    _placements reads for the label order (ls, rs): the one setup of both
-    walks.  bound is the codegree bound of the search: every diagram has
-    codeg = iota - genus - deg <= iota - genus, so that bound is exact,
-    and max_codeg may lower it.  base is the codegree with every source on
-    floor 0 and every sink on the top floor, were every elevator short:
-    iota + a - 1 less the weight d_b - sums[k+1] crossing each gap k, the
-    floor under all further displacement and span costs.  divs holds the
-    divergence r - l of each floor, most[j][u] the most elevators floors
-    j+1..a-2 can open when u sinks are left for them, and in_flows[j] the
-    weight entering floor j with every source and no sink below it.  The
-    weight crossing gap k is at most d_b - (d_t - u) - sums[k+1] (every
-    source below it and no further sink), and every elevator, free slots
-    included, carries weight >= 1."""
+) -> Tuple[int, int, Callable]:
+    """(bound, base, placements) for the label order (ls, rs): the one
+    setup of both walks.  bound is the codegree bound of the search:
+    every diagram has codeg = iota - genus - deg <= iota - genus, so that
+    bound is exact, and max_codeg may lower it.  base is the chain
+    codegree iota + a - 1 - sum(F_k), where both walks start.  placements
+    is the functools.cache of _placements on the one row of gap flows
+    G_k = F_k - d_t, the weight crossing gap k with every source and sink
+    below it, and most[j][u] = sum_{k>j} max(0, G_k + u): floors j+1..a-2
+    open at most that many elevators when u sinks are left for them, since
+    gap k carries at most G_k + u and every elevator, free slots included,
+    carries weight >= 1."""
     a, d_b, d_t = polygon.height, polygon.d_b, polygon.d_t
     iota = lattice_stats(polygon).interior
     bound = iota - genus if max_codeg is None else min(max_codeg, iota - genus)
-    divs = [r - l for l, r in zip(ls, rs)]
-    sums = list(itertools.accumulate(divs, initial=0))
-    base = iota + a - 1 - sum(d_b - x for x in sums[1:a])
-    most = [[sum(max(0, d_b - d_t + u - x) for x in sums[j + 2:a])
-             for u in range(d_t + 1)] for j in range(a)]
-    in_flows = [d_b - d_t - x for x in sums]
-    return a, bound, base, divs, most, in_flows
+    flows = tuple(d_b - d_t + x for x in itertools.accumulate(
+        l - r for l, r in zip(ls[:-1], rs)))
+    base = iota + a - 1 - sum(g + d_t for g in flows)
+    most = tuple(tuple(sum(max(0, g + u) for g in flows[j + 1:]) for u in range(d_t + 1))
+                 for j in range(a - 1))
+    return bound, base, cache(partial(_placements, bound, flows, most))
 
 
 def _placements(
-    walk: Tuple, j: int, src_left: int, snk_left: int, spent: int, room: int,
+    bound: int, flows: Tuple[int, ...], most: Tuple[Tuple[int, ...], ...],
+    j: int, src_left: int, snk_left: int, spent: int, room: int,
 ) -> List[Tuple[int, int, int, int, int, int]]:
     """The placements of floor j < a-1 that the cuts keep, as (s, t, here,
     flow, least, must_open): s sources and t sinks on floor j, here the
-    cost spent with theirs added, flow the weight leaving floor j, least
+    codegree spent with theirs added, flow the weight leaving floor j, least
     the least codegree of a completion, and must_open the fewest
-    elevators floor j may open.  walk is _walk_tables; spent is the
-    placement and span cost below floor j, and room the edges still to
-    open.  Both walks read these placements through a functools.cache per
-    label order, and each then cuts its splits of the open elevators
+    elevators floor j may open.  bound, the gap flows G_k and most come
+    from _walk_tables; spent is the codegree so far (the base, then the
+    placement and span costs below floor j), and room the edges still to
+    open.  Each walk reads these through the functools.cache that
+    _walk_tables hands it, and cuts its splits of the open elevators
     alike: a split that keeps weight `kept` open in c elevators needs flow
     >= kept and least + kept <= bound, and floor j opens flow - kept in at
     most min(room, 1 + genus + bound - least - c) elevators.
 
     The cuts, stated here once for both walks:
-      - the weight entering floor j follows from the sources and sinks
-        left, and the weight crossing gap j, flow, must be >= 1: a gap
-        nothing crosses disconnects the diagram;
+      - the weight leaving floor j is G_j less the sources still to
+        place above it plus the sinks still to place above it, and it
+        must be >= 1: a gap nothing crosses disconnects the diagram;
       - a source on floor m costs m and a sink on floor m costs a-1-m on
         top of the base codegree, and an elevator kept open across a gap
         adds its weight; the least codegree, with every source left over
@@ -450,17 +447,15 @@ def _placements(
       - a gap crossed by c elevators forces c-1 units of genus or span
         surplus, so c is capped by 1 + genus + the span allowance.
     """
-    a, bound, base, divs, most, in_flows = walk
-    in_flow = in_flows[j] - src_left + snk_left
-    div = divs[j]
-    slack = bound - base - spent - (j + 1) * src_left
+    top = len(flows)  # the top floor, a-1
+    leaving = flows[j] - src_left + snk_left  # with no source or sink on floor j
+    slack = bound - spent - (j + 1) * src_left
     found = []
-    for s in range(max(0, div + 1 - in_flow, -slack), src_left + 1):
-        t_max = min(snk_left, in_flow + s - div - 1, (slack + s) // (a - 1 - j))
+    for s in range(max(0, 1 - leaving, -slack), src_left + 1):
+        t_max = min(snk_left, leaving + s - 1, (slack + s) // (top - j))
         for t in range(t_max + 1):
-            here = spent + j * s + (a - 1 - j) * t
-            found.append((s, t, here, in_flow + s - t - div,
-                          base + here + (j + 1) * (src_left - s),
+            here = spent + j * s + (top - j) * t
+            found.append((s, t, here, leaving + s - t, here + (j + 1) * (src_left - s),
                           max(room - most[j][snk_left - t], 0)))
     return found
 
@@ -488,9 +483,8 @@ def run_enumeration_task(
     many elevators a floor opens, none included, and a split it gives no
     opening is cut.
     """
-    walk = _walk_tables(polygon, genus, max_codeg, ls, rs)
-    a, bound, base = walk[:3]
-    placements = cache(partial(_placements, walk))
+    bound, base, placements = _walk_tables(polygon, genus, max_codeg, ls, rs)
+    a = polygon.height
     target_edges = a - 1 + genus
     found: List[Tuple[FloorDiagram, int]] = []
 
@@ -507,14 +501,15 @@ def run_enumeration_task(
 
     def rec(j, src_left, snk_left, spent, open_edges, edges, comp, cycles):
         # open_edges: sorted (origin, weight) pairs crossing gap j-1; spent:
-        # the placement cost of the sources and sinks below floor j plus the
-        # span cost.  comp labels the connected component of each floor
-        # below j under the closed `edges`, which hold `cycles` independent cycles
+        # the base codegree plus the placement cost of the sources and sinks
+        # below floor j and the span cost.  comp labels the connected
+        # component of each floor below j under the closed `edges`, which
+        # hold `cycles` independent cycles
         if j == a - 1:
             # the top floor takes the sources and sinks left, and every open
             # elevator closes there and must join every component; floor a-2
             # opened exactly the edges left, so the edge count is met
-            codeg = base + spent + j * src_left
+            codeg = spent + j * src_left
             joined = {comp[o] for o, _ in open_edges}
             if codeg > bound or len(joined) < len(set(comp)):
                 return
@@ -556,7 +551,7 @@ def run_enumeration_task(
                     rec(j + 1, src_left - s, snk_left - t, here + kept, still_open + opened,
                         new_edges, new_comp, new_cycles)
 
-    rec(0, polygon.d_b, polygon.d_t, 0, (), [], (), 0)
+    rec(0, polygon.d_b, polygon.d_t, base, (), [], (), 0)
     return found
 
 
@@ -721,7 +716,8 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
 
       (sources left, sinks left, spent, cycles, components, pending sinks)
 
-    where spent is the placement cost plus the span cost so far, and each
+    where spent is the codegree so far (the order's base plus the
+    placement and span costs), and each
     component of the floors below j that still has open elevators is a
     pair of sorted weight tuples: the open elevators already placed in a
     gap (only those may close) and those still pending.  Free slots are
@@ -783,14 +779,12 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
         return factor
 
     for ls, rs in orders:
-        walk = _walk_tables(polygon, genus, i, ls, rs)
-        bound, base = walk[1:3]
-        placements = cache(partial(_placements, walk))
-        level: Dict[Tuple, List[int]] = {(d_b, d_t, 0, 0, (), 0): [1] + [0] * i}
+        bound, base, placements = _walk_tables(polygon, genus, i, ls, rs)
+        level: Dict[Tuple, List[int]] = {(d_b, d_t, base, 0, (), 0): [1] + [0] * i}
         for j in range(a - 1):
             # floor j: sources, sinks, closings and openings
             after_floor: Dict[Tuple, List[int]] = {}
-            for (src_left, snk_left, spent, cycles, comps, pend), sums in level.items():
+            for (src_left, snk_left, spent, cycles, comps, pend), series in level.items():
                 closed_edges = cycles + j - len(comps)
                 n_placed, n_pending, table = _transfer_splits(comps, i)
                 opened_before = closed_edges + n_placed + n_pending
@@ -820,9 +814,9 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
                                 continue
                             opened = len(weights) + len(free)
                             scale = ways * assign * labels * comb(opened_before + opened, opened)
-                            part = sums
+                            part = series
                             if n > 1 and heavy:  # each [w]^2 has constant term 1
-                                part = _times(sums, heavy_product(heavy), n)
+                                part = _times(series, heavy_product(heavy), n)
                             key = head + (tuple(sorted(others + (mine,))), pend + t)
                             got = after_floor.get(key)
                             if got is None:
@@ -832,23 +826,23 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
                                     got[k] += scale * part[k]
             # gap j: place pending elevators and sinks
             level = {}
-            for (src_left, snk_left, spent, cycles, comps, pend), sums in after_floor.items():
-                n = len(sums)
+            for (src_left, snk_left, spent, cycles, comps, pend), series in after_floor.items():
+                n = len(series)
                 for k, ways, new_comps in _gap_choices(comps, i):
                     for x in range(pend + 1):
                         scale = ways * comb(pend, x) * fact[k + x]
                         key = (src_left, snk_left, spent, cycles, new_comps, pend - x)
                         got = level.get(key)
                         if got is None:
-                            level[key] = [scale * v for v in sums]
+                            level[key] = [scale * v for v in series]
                         else:
                             for e in range(n):
-                                got[e] += scale * sums[e]
+                                got[e] += scale * series[e]
         # the top floor takes the sources and sinks left and closes every
         # open elevator, each placed already; gap a-1 takes every sink left
         j = a - 1
-        for (src_left, snk_left, spent, cycles, comps, pend), sums in level.items():
-            codeg = base + spent + j * src_left
+        for (src_left, snk_left, spent, cycles, comps, pend), series in level.items():
+            codeg = spent + j * src_left
             if codeg > bound or any(pending for _, pending in comps):
                 continue
             closed_edges = cycles + j - len(comps)
@@ -857,6 +851,6 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
             scale = (comb(prefix + src_left, src_left) * comb(d_t, snk_left)
                      * fact[pend + snk_left])
             for k in range(codeg, n_coeffs):
-                total[k] += scale * sums[k - codeg]
+                total[k] += scale * series[k - codeg]
     labellings = fact[target_edges] * fact[d_t]
     return [_exact_quotient(v, labellings) for v in total]

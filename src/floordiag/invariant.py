@@ -17,6 +17,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, field
+from math import comb
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -85,11 +86,14 @@ def _cached(
     polygon: HTransversePolygon,
     params: str,
     compute: Callable[[], LaurentPoly],
+    possible: Optional[Callable[[LaurentPoly], bool]] = None,
 ) -> LaurentPoly:
     """The cached value for (kind, polygon, params), else compute(), stored.
 
-    A missing, unreadable or malformed entry is a miss; a failed write
-    leaves the value uncached.
+    A missing, unreadable or malformed entry is a miss, and so is one
+    that possible, when given, rejects as a value no engine run could
+    give; a miss is recomputed and rewritten, and a failed write leaves
+    the value uncached.
     """
     path = _cache_path(kind, polygon, params)
     if path is None:
@@ -97,7 +101,9 @@ def _cached(
     try:
         data = json.loads(path.read_text())
         if isinstance(data, dict) and all(type(v) is int for v in data.values()):
-            return LaurentPoly.from_json(data)
+            value = LaurentPoly.from_json(data)
+            if possible is None or possible(value):
+                return value
     except (ValueError, OSError):
         pass
     value = compute()
@@ -136,8 +142,15 @@ def refined_invariant(polygon: HTransversePolygon, genus: int) -> LaurentPoly:
     marking counts of the classes that share that multiset are summed first
     and mult is computed once per multiset.
     """
-    if genus > lattice_stats(polygon).interior:
+    iota = lattice_stats(polygon).interior
+    if genus > iota:
         return LaurentPoly.zero()
+    top = 2 * (iota - genus)
+
+    def possible(value: LaurentPoly) -> bool:
+        # G_Delta(g) is symmetric with top term C(iota, g) q^(iota - g)
+        return (value.is_symmetric() and value.coeff2(top) == comb(iota, genus)
+                and value.degree2() == top)
 
     def compute() -> LaurentPoly:
         # weight multiset -> [its first class, marking count of its classes]
@@ -150,7 +163,7 @@ def refined_invariant(polygon: HTransversePolygon, genus: int) -> LaurentPoly:
             total = total + mult(D).scalar_mul(n)
         return total
 
-    return _cached("G", polygon, "g=%d" % genus, compute)
+    return _cached("G", polygon, "g=%d" % genus, compute, possible)
 
 
 def refined_descendant(

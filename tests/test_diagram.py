@@ -34,6 +34,7 @@ from floordiag.invariant import invariant_codegree_coeff, refined_invariant
 from floordiag.laurent import EngineError, LaurentPoly
 from floordiag.polygon import (
     HTransversePolygon,
+    _row_widths,
     lattice_stats,
     make_delta_abn,
     make_delta_d,
@@ -218,27 +219,37 @@ def test_walks_are_pinned(walk, pinned):
 @given(small_polygons(), st.integers(0, 2), st.integers(0, 3), st.data())
 def test_placements_are_the_brute_force_placements(poly, genus, max_codeg, data):
     # every (s, t) whose gap above is crossed (flow >= 1) and whose least
-    # codegree is within the bound, in order, with its cost and edge floor
+    # codegree is within the bound, in order, with its cost and edge floor;
+    # the divergences come from the label order, and floors j+1..a-2 open
+    # at most the weight crossing their gaps with every source below and
+    # the sinks left above
     assume(poly.height > 1)
+    a = poly.height
     ls = data.draw(st.permutations(poly.d_l))
     rs = data.draw(st.permutations(poly.d_r))
-    walk = _walk_tables(poly, genus, max_codeg, ls, rs)
-    a, bound, base, divs, most, _ = walk
+    bound, base, placements = _walk_tables(poly, genus, max_codeg, ls, rs)
+    assert bound == min(max_codeg, lattice_stats(poly).interior - genus)
     j = data.draw(st.integers(0, a - 2))
     src_left = data.draw(st.integers(0, poly.d_b))
     snk_left = data.draw(st.integers(0, poly.d_t))
-    spent = data.draw(st.integers(0, 4))
+    spent = base + data.draw(st.integers(0, 4))
     room = data.draw(st.integers(0, a - 1 + genus))
+    divs = [r - l for l, r in zip(ls, rs)]
     in_flow = (poly.d_b - src_left) - (poly.d_t - snk_left) - sum(divs[:j])
+
+    def most(u):
+        return sum(max(0, poly.d_b - poly.d_t + u - sum(divs[:k + 1]))
+                   for k in range(j + 1, a - 1))
+
     brute = []
     for s in range(src_left + 1):
         for t in range(snk_left + 1):
             here = spent + j * s + (a - 1 - j) * t
             flow = in_flow + s - t - divs[j]
-            least = base + here + (j + 1) * (src_left - s)
+            least = here + (j + 1) * (src_left - s)
             if flow >= 1 and least <= bound:
-                brute.append((s, t, here, flow, least, max(room - most[j][snk_left - t], 0)))
-    assert _placements(walk, j, src_left, snk_left, spent, room) == brute
+                brute.append((s, t, here, flow, least, max(room - most(snk_left - t), 0)))
+    assert placements(j, src_left, snk_left, spent, room) == brute
 
 
 @pytest.mark.parametrize("items", [
@@ -462,7 +473,9 @@ def test_base_codegree_is_the_chain_codegree():
     # with every source on floor 0, every sink on the top floor and one
     # elevator of the gap flow F_k = d_b - sum_{m<=k} (r_m - l_m) per gap,
     # the chain diagram's codegree is the base of _walk_tables, for every
-    # small polygon (the range of small_polygons) and every label order
+    # small polygon (the range of small_polygons) and every label order.
+    # The base is also sum_k (w_{k+1} - F_k) over the row widths w, and no
+    # gap flow exceeds the width of its lattice row, so each term is >= 0
     checked = 0
     for a in range(1, 4):
         slopes = list(itertools.combinations_with_replacement(range(-1, 2), a))
@@ -470,16 +483,20 @@ def test_base_codegree_is_the_chain_codegree():
             poly = HTransversePolygon(d_l, d_r, d_t + sum(d_r) - sum(d_l), d_t)
             if polygon_errors(poly):
                 continue
+            widths = _row_widths(poly)
             for ls, rs in _label_orders(poly, 0, None):
                 flows = [poly.d_b - x for x in
                          itertools.accumulate(r - l for l, r in zip(ls[:-1], rs[:-1]))]
+                _, base, _ = _walk_tables(poly, 0, None, ls, rs)
+                terms = [w - f for w, f in zip(widths[1:a], flows)]
+                assert base == sum(terms) and all(x >= 0 for x in terms)
                 if any(f < 1 for f in flows):
                     continue
                 floors = tuple((l, r, poly.d_b * (m == 0), poly.d_t * (m == a - 1))
                                for m, (l, r) in enumerate(zip(ls, rs)))
                 chain = FloorDiagram(floors, tuple((k, k + 1, f) for k, f in enumerate(flows)))
                 assert validate(chain, poly) == []
-                assert codegree(chain) == _walk_tables(poly, 0, None, ls, rs)[2]
+                assert codegree(chain) == base
                 checked += 1
     assert checked > 1000
 

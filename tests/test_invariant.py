@@ -576,6 +576,16 @@ def test_leading_coefficient_binomials():
             assert refined_invariant(poly, g).codegree_coeff(0) == math.comb(iota, g)
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_polygons())
+def test_leading_coefficient_is_the_binomial_on_random_polygons(polygon):
+    # coef_0 G_Delta(g) = C(iota, g) in every genus, through the transfer
+    # that starts each label order at its base codegree
+    iota = lattice_stats(polygon).interior
+    for g in range(iota + 1):
+        assert codegree_coefficients(polygon, g, 0)[0] == comb(iota, g), g
+
+
 def test_marked_class_table_shape():
     rows = marked_class_table(D3, [make_pairing([(7, 8)])])
     assert len(rows) == 9
@@ -689,6 +699,22 @@ def test_malformed_cache_entry_is_a_miss(tmp_path, monkeypatch):
     for entry in ([1, 2], {"2": "a"}):
         path.write_text(json.dumps(entry))
         assert refined_invariant(D3, 0).render() == "q + 10 + q^-1"
+    assert json.loads(path.read_text()) == {"2": 1, "0": 10, "-2": 1}
+
+
+@pytest.mark.parametrize("entry", [
+    {},  # the zero polynomial has no top term
+    {"2": 7},  # not symmetric
+    {"2": 1, "0": 10},  # not symmetric, top term right
+    {"4": 1, "0": 10, "-4": 1},  # top exponent 2, not iota - g = 1
+    {"2": 2, "0": 10, "-2": 2},  # top coefficient 2, not C(1, 0) = 1
+])
+def test_impossible_invariant_entry_is_a_miss(tmp_path, monkeypatch, entry):
+    # a G entry that no engine run could give is recomputed and rewritten
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", str(tmp_path))
+    path = _cache_path("G", D3, "g=0")
+    path.write_text(json.dumps(entry))
+    assert refined_invariant(D3, 0).render() == "q + 10 + q^-1"
     assert json.loads(path.read_text()) == {"2": 1, "0": 10, "-2": 1}
 
 
