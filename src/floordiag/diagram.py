@@ -21,11 +21,12 @@ read every topological floor order that linear_extensions lists; a
 layered diagram has one, so it is its own canonical form.
 
 codegree_coefficients lists no diagram at all.  It keeps, per label
-order, one level of walk states, each carrying the codegree-truncated
-sum over its paths of the factors of a labelled shape, every factor
-local to one floor or one gap.  codegree_coefficient_sum, the sum
-over the labelled diagrams that the walk lists, serves the tests as its
-oracle.
+order, one level of walk states keyed by shape alone, each carrying,
+indexed by codegree, the sum over its paths of the factors of a
+labelled shape, every factor local to one floor or one gap; a state's
+cuts are taken at the least codegree among its paths.
+codegree_coefficient_sum, the sum over the labelled diagrams that the
+walk lists, serves the tests as its oracle.
 
 The key accounting identity, with iota the interior lattice count and
 F_k = d_b - sum_{m<=k} (r_m - l_m) the weight crossing gap k in the chain
@@ -714,20 +715,32 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
     level, with the placements and cuts of _placements, and merges the
     nodes whose futures agree.  A state after gap j-1 is
 
-      (sources left, sinks left, spent, cycles, components, pending sinks)
+      (sources left, sinks left, cycles, components, pending sinks)
 
-    where spent is the codegree so far (the order's base plus the
-    placement and span costs), and each
-    component of the floors below j that still has open elevators is a
-    pair of sorted weight tuples: the open elevators already placed in a
-    gap (only those may close) and those still pending.  Free slots are
-    placed elevators of weight i+1, which close on the next floor.  A
-    component with nothing open cannot be joined any more, so its state
-    is dropped.  The edges closed, the elevators opened so far, the
-    weight crossing the gap and the elements placed below floor j all
-    follow from the state.  Each state carries, as a list of ints, the
-    codegree-truncated sum over its paths of the weight below, and its
-    length shrinks as spent uses the budget up.
+    where each component of the floors below j that still has open
+    elevators is a pair of sorted weight tuples: the open elevators
+    already placed in a gap (only those may close) and those still
+    pending.  Free slots are placed elevators of weight i+1, which close
+    on the next floor.  A component with nothing open cannot be joined
+    any more, so its state is dropped.  The edges closed, the elevators
+    opened so far, the weight crossing the gap and the elements placed
+    below floor j all follow from the state.  Each state carries, as a
+    list of ints indexed by codegree, the sum over its paths of the
+    weight below: entry c sums the terms of codegree c, a path's
+    codegree so far (spent: the order's base plus the placement and
+    span costs) plus the codegree of its term of prod [w]^2.  The list
+    stops where the least cost of the sources left would take it past
+    i.  So the paths that differ only in spent share a state.  Every
+    [w]^2 has constant term 1, so the first nonzero entry is the least
+    spent among them, and the state's placements and cuts are taken
+    there: the loosest of its paths' cuts.  A path that they let through
+    but its own spent would cut ends past coefficient i (every diagram
+    the transfer completes has codegree <= iota - g), where it is
+    truncated.  A placement of cost here - spent, with weight kept open,
+    shifts the series by here - spent + kept and keeps only the entries
+    that can still reach coefficient i; the top floor shifts it by the
+    cost of its sources.  A label order whose base exceeds the bound has
+    no placement left, and is skipped.
 
     The count treats equal copies as distinct and divides once at the
     end, so every step is an integer.  Floor j:
@@ -748,14 +761,14 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
     elements (the free slots of floor j among them) in k! orders; the top
     floor places every sink left in gap a-1.  The total is divided once by
     (a-1+g)! d_t!, the labellings of the elevators and the sinks, and the
-    division is checked to be exact.  Coefficient k reads the top level:
-    a state of codegree c adds its coefficient k - c.  The openings,
-    splits and gap choices depend on their key and i alone (_openings,
-    which the listing walk reads too, and _transfer_splits and
-    _gap_choices, both regroupings of _splits), so every call of the
-    process shares them.  The factorials, [w]^2 and the truncated product
-    of [w]^2 over each opening's heavy weights (heavy_product) stay per
-    call, and the cache of placements per label order.
+    division is checked to be exact.  Coefficient k sums entry k of the
+    top level's shifted series.  The openings, splits and gap choices
+    depend on their key and i alone (_openings, which the listing walk
+    reads too, and _transfer_splits and _gap_choices, both regroupings
+    of _splits), so every call of the process shares them.  The
+    factorials, [w]^2 and the truncated product of [w]^2 over each
+    opening's heavy weights (heavy_product) stay per call, and the cache
+    of placements per label order.
     """
     n_coeffs = i + 1
     total = [0] * n_coeffs
@@ -780,11 +793,20 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
 
     for ls, rs in orders:
         bound, base, placements = _walk_tables(polygon, genus, i, ls, rs)
-        level: Dict[Tuple, List[int]] = {(d_b, d_t, base, 0, (), 0): [1] + [0] * i}
+        if base > bound:
+            continue  # no placement of this order is within the bound
+        series = [0] * n_coeffs
+        series[base] = 1
+        level: Dict[Tuple, List[int]] = {(d_b, d_t, 0, (), 0): series}
         for j in range(a - 1):
             # floor j: sources, sinks, closings and openings
             after_floor: Dict[Tuple, List[int]] = {}
-            for (src_left, snk_left, spent, cycles, comps, pend), series in level.items():
+            for (src_left, snk_left, cycles, comps, pend), series in level.items():
+                # the least codegree spent among the state's paths, whose
+                # cuts are the loosest
+                spent = 0
+                while not series[spent]:
+                    spent += 1
                 closed_edges = cycles + j - len(comps)
                 n_placed, n_pending, table = _transfer_splits(comps, i)
                 opened_before = closed_edges + n_placed + n_pending
@@ -801,9 +823,12 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
                         if new_cycles > genus:
                             continue
                         cap = min(room, 1 + genus + bound - least - n_kept)
-                        # the coefficients a state of this spent can still reach
-                        n = n_coeffs - (least + kept)
-                        head = (src_left - s, snk_left - t, here + kept, new_cycles)
+                        # the placement and span costs move the series up by
+                        # shift, and only its entries below n can still reach
+                        # coefficient i
+                        shift = here - spent + kept
+                        n = n_coeffs - (least - spent) - kept
+                        head = (src_left - s, snk_left - t, new_cycles)
                         ways *= placing
                         for weights, free, assign, labels, heavy in _openings(
                                 out_total, must_open, cap, i):
@@ -815,23 +840,24 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
                             opened = len(weights) + len(free)
                             scale = ways * assign * labels * comb(opened_before + opened, opened)
                             part = series
-                            if n > 1 and heavy:  # each [w]^2 has constant term 1
+                            if n > spent + 1 and heavy:  # each [w]^2 has constant term 1
                                 part = _times(series, heavy_product(heavy), n)
                             key = head + (tuple(sorted(others + (mine,))), pend + t)
                             got = after_floor.get(key)
                             if got is None:
-                                after_floor[key] = [scale * v for v in part[:n]]
+                                after_floor[key] = [0] * (spent + shift) + [
+                                    scale * v for v in part[spent:n]]
                             else:
-                                for k in range(n):
-                                    got[k] += scale * part[k]
+                                for k in range(spent, n):
+                                    got[k + shift] += scale * part[k]
             # gap j: place pending elevators and sinks
             level = {}
-            for (src_left, snk_left, spent, cycles, comps, pend), series in after_floor.items():
+            for (src_left, snk_left, cycles, comps, pend), series in after_floor.items():
                 n = len(series)
                 for k, ways, new_comps in _gap_choices(comps, i):
                     for x in range(pend + 1):
                         scale = ways * comb(pend, x) * fact[k + x]
-                        key = (src_left, snk_left, spent, cycles, new_comps, pend - x)
+                        key = (src_left, snk_left, cycles, new_comps, pend - x)
                         got = level.get(key)
                         if got is None:
                             level[key] = [scale * v for v in series]
@@ -841,16 +867,16 @@ def codegree_coefficients(polygon: HTransversePolygon, genus: int, i: int) -> Li
         # the top floor takes the sources and sinks left and closes every
         # open elevator, each placed already; gap a-1 takes every sink left
         j = a - 1
-        for (src_left, snk_left, spent, cycles, comps, pend), series in level.items():
-            codeg = spent + j * src_left
-            if codeg > bound or any(pending for _, pending in comps):
+        for (src_left, snk_left, cycles, comps, pend), series in level.items():
+            if any(pending for _, pending in comps):
                 continue
             closed_edges = cycles + j - len(comps)
             n_placed = sum(len(placed) for placed, _ in comps)
             prefix = j + closed_edges + n_placed + d_t - snk_left - pend + d_b - src_left
             scale = (comb(prefix + src_left, src_left) * comb(d_t, snk_left)
                      * fact[pend + snk_left])
-            for k in range(codeg, n_coeffs):
-                total[k] += scale * series[k - codeg]
+            shift = j * src_left
+            for c, v in enumerate(series):
+                total[c + shift] += scale * v
     labellings = fact[target_edges] * fact[d_t]
     return [_exact_quotient(v, labellings) for v in total]

@@ -86,14 +86,14 @@ def _cached(
     polygon: HTransversePolygon,
     params: str,
     compute: Callable[[], LaurentPoly],
-    possible: Optional[Callable[[LaurentPoly], bool]] = None,
+    possible: Callable[[LaurentPoly], bool],
 ) -> LaurentPoly:
     """The cached value for (kind, polygon, params), else compute(), stored.
 
     A missing, unreadable or malformed entry is a miss, and so is one
-    that possible, when given, rejects as a value no engine run could
-    give; a miss is recomputed and rewritten, and a failed write leaves
-    the value uncached.
+    that no engine run could give: a negative coefficient, or a value
+    that possible rejects.  A miss is recomputed and rewritten, and a
+    failed write leaves the value uncached.
     """
     path = _cache_path(kind, polygon, params)
     if path is None:
@@ -102,7 +102,7 @@ def _cached(
         data = json.loads(path.read_text())
         if isinstance(data, dict) and all(type(v) is int for v in data.values()):
             value = LaurentPoly.from_json(data)
-            if possible is None or possible(value):
+            if value.has_nonnegative_coeffs() and possible(value):
                 return value
     except (ValueError, OSError):
         pass
@@ -191,7 +191,15 @@ def refined_descendant(
     if len(pairing) != s:
         raise ValueError("pairing order %d does not match s=%d" % (len(pairing), s))
 
+    top = 2 * stats.interior
     lowest = None if max_codeg is None else 2 * (stats.interior - max_codeg)
+
+    def possible(value: LaurentPoly) -> bool:
+        # G_Delta(0;s) has top term q^iota; the full value is symmetric, and
+        # a truncated one has no term below the lowest exponent it keeps
+        if value.coeff2(top) != 1 or value.degree2() != top:
+            return False
+        return value.is_symmetric() if lowest is None else value.valuation2() >= lowest
 
     def compute() -> LaurentPoly:
         total = LaurentPoly.zero()
@@ -200,7 +208,7 @@ def refined_descendant(
         return total
 
     params = "s=%d;S=%s;mc=%s" % (s, _pairing_token(pairing), max_codeg)
-    return _cached("Gs", polygon, params, compute)
+    return _cached("Gs", polygon, params, compute, possible)
 
 
 def descendant_codegree_coeff(polygon: HTransversePolygon, s: int, i: int) -> int:

@@ -423,12 +423,16 @@ def test_walk_lists_each_split_once(monkeypatch, abn, genus):
 def test_transfer_lists_each_placement_once_per_label_order(monkeypatch, literal, genus):
     # the codegree transfer at i=2 reads the placements of each (floor,
     # sources left, sinks left, cost, room) of a label order from one table:
-    # _placements runs once per distinct key of each order
+    # _placements runs once per distinct key of each order.  An order whose
+    # base codegree exceeds the bound is skipped and reads none
     orders = []  # per label order, the keys _placements was called with
+    over = []  # per label order, whether its base exceeds its bound
 
     def walk_tables(*args):
         orders.append([])
-        return _walk_tables(*args)
+        bound, base, placements = _walk_tables(*args)
+        over.append(base > bound)
+        return bound, base, placements
 
     def counted(walk, *key):
         orders[-1].append(key)
@@ -440,7 +444,49 @@ def test_transfer_lists_each_placement_once_per_label_order(monkeypatch, literal
     codegree_coefficients(poly, genus, 2)
     assert len(orders) == len(list(_label_orders(poly, genus, 2))) > 0
     assert all(len(keys) == len(set(keys)) for keys in orders)
-    assert sum(map(len, orders)) > len(orders)
+    assert [not keys for keys in orders] == over
+    assert any(len(keys) > 1 for keys in orders)
+
+
+def assert_truncations_agree(polygon, genus):
+    # the transfer at every i up to 2(iota - g) + 1 gives the first i + 1
+    # coefficients of the transfer at 2(iota - g) + 1: a state's cuts are
+    # taken at the least codegree among its paths, and a path that they
+    # let through but its own cuts would stop only reaches coefficients
+    # past i
+    last = 2 * (lattice_stats(polygon).interior - genus) + 1
+    full = codegree_coefficients(polygon, genus, last)
+    for i in range(last + 1):
+        assert codegree_coefficients(polygon, genus, i) == full[:i + 1], i
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_polygons())
+def test_every_truncation_of_the_transfer_agrees(polygon):
+    for genus in range(lattice_stats(polygon).interior + 1):
+        assert_truncations_agree(polygon, genus)
+
+
+@pytest.mark.parametrize("genus", range(12))
+def test_every_truncation_of_the_transfer_agrees_on_the_mixed_polygon(genus):
+    # 144 label orders, some with a base codegree above small bounds
+    assert_truncations_agree(parse_polygon("ht:dl=[-2,0,1,1];dr=[2,0,0,-1];db=2;dt=1"), genus)
+
+
+def test_transfer_merges_the_paths_of_every_codegree(monkeypatch):
+    # a state keys no codegree, so the paths that differ only in the
+    # codegree spent share one: Delta_{8,3,2} at g=2, i=2 has 1,580
+    # floor-phase states, each reading _transfer_splits once (3,934 with
+    # the codegree spent in the key)
+    calls = []
+
+    def counted(comps, i):
+        calls.append(comps)
+        return _transfer_splits(comps, i)
+
+    monkeypatch.setattr("floordiag.diagram._transfer_splits", counted)
+    codegree_coefficients(make_delta_abn(8, 3, 2), 2, 2)
+    assert len(calls) == 1580
 
 
 @pytest.mark.parametrize("literal,genus", [

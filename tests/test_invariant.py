@@ -708,6 +708,7 @@ def test_malformed_cache_entry_is_a_miss(tmp_path, monkeypatch):
     {"2": 1, "0": 10},  # not symmetric, top term right
     {"4": 1, "0": 10, "-4": 1},  # top exponent 2, not iota - g = 1
     {"2": 2, "0": 10, "-2": 2},  # top coefficient 2, not C(1, 0) = 1
+    {"2": 1, "0": -4, "-2": 1},  # a negative coefficient
 ])
 def test_impossible_invariant_entry_is_a_miss(tmp_path, monkeypatch, entry):
     # a G entry that no engine run could give is recomputed and rewritten
@@ -716,6 +717,23 @@ def test_impossible_invariant_entry_is_a_miss(tmp_path, monkeypatch, entry):
     path.write_text(json.dumps(entry))
     assert refined_invariant(D3, 0).render() == "q + 10 + q^-1"
     assert json.loads(path.read_text()) == {"2": 1, "0": 10, "-2": 1}
+
+
+@pytest.mark.parametrize("max_codeg,entry", [
+    (None, {}),  # the zero polynomial has no top term
+    (None, {"2": 7}),  # top coefficient 7, not 1
+    (None, {"2": 1, "0": -3, "-2": 1}),  # a negative coefficient
+    (0, {"2": 1, "0": 5}),  # a term below 2(iota - 0), the lowest one kept
+])
+def test_impossible_descendant_entry_is_a_miss(tmp_path, monkeypatch, max_codeg, entry):
+    # a Gs entry that no engine run could give is recomputed and rewritten
+    monkeypatch.setenv("FLOORDIAG_CACHE_DIR", str(tmp_path))
+    value = refined_descendant(D3, 0, max_codeg=max_codeg)
+    [path] = tmp_path.iterdir()
+    stored = json.loads(path.read_text())
+    path.write_text(json.dumps(entry))
+    assert refined_descendant(D3, 0, max_codeg=max_codeg) == value
+    assert json.loads(path.read_text()) == stored
 
 
 def test_entry_of_another_engine_version_is_a_miss(tmp_path, monkeypatch):
